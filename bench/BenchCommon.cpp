@@ -77,12 +77,10 @@ void appendRecord(const std::string &Key, std::string Rec) {
 /// The machine-configuration sub-object of a --json record, so sim-vs-
 /// static comparisons are self-describing. Reconstructed from the same
 /// defaults the evaluation used (machineFor(): the paper's 2-cluster
-/// machine; Unified runs on the unified-memory variant).
+/// machine). The memory organization is the strategy's: only Unified
+/// assumes one shared memory.
 std::string machineJson(const std::string &Strategy, unsigned MoveLatency) {
-  MachineModel MM = MachineModel::makeDefault(
-      2, MoveLatency,
-      Strategy == "Unified" ? MemoryModelKind::Unified
-                            : MemoryModelKind::Partitioned);
+  MachineModel MM = MachineModel::makeDefault(2, MoveLatency);
   const ClusterConfig &C = MM.getCluster(0);
   return formatStr(
       "\"machine\": {\"clusters\": %u, \"fu_per_cluster\": {\"int\": %u, "
@@ -91,7 +89,7 @@ std::string machineJson(const std::string &Strategy, unsigned MoveLatency) {
       "\"cluster_memory_bytes\": %llu}",
       MM.getNumClusters(), C.NumInteger, C.NumFloat, C.NumMemory,
       C.NumBranch, MM.getMoveLatency(), MM.getMoveBandwidth(),
-      MM.hasPartitionedMemory() ? "partitioned" : "unified",
+      Strategy == "Unified" ? "unified" : "partitioned",
       static_cast<unsigned long long>(MM.getClusterMemoryBytes()));
 }
 
@@ -340,7 +338,7 @@ std::vector<SuiteEntry> gdp::bench::loadSuite(bool CaptureTraces) {
         std::shared_ptr<const CachedPreparation> C =
             PreparedProgramCache::global().get(
                 W->Name, /*MaxSteps=*/200000000ULL, CaptureTraces,
-                [W] { return W->Build(); });
+                [W](std::vector<support::Diag> &) { return W->Build(); });
         E.P = C->Prog;
         E.PP = C->PP;
         return E;

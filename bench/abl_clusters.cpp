@@ -34,13 +34,9 @@ int main(int argc, char **argv) {
 
     for (unsigned Clusters : {2u, 4u}) {
       for (StrategyKind K : {StrategyKind::Unified, StrategyKind::GDP}) {
-        MemoryModelKind Mem = K == StrategyKind::Unified
-                                  ? MemoryModelKind::Unified
-                                  : MemoryModelKind::Partitioned;
-        MachineModel MM = MachineModel::makeDefault(Clusters, 5, Mem);
         PipelineOptions Opt;
         Opt.Strategy = K;
-        Opt.Machine = &MM;
+        Opt.NumClusters = Clusters;
         uint64_t Cycles = runStrategy(E.PP, Opt).Cycles;
         // Speedup over the single-cluster machine.
         Row.push_back(formatDouble(

@@ -23,12 +23,14 @@
 #include "bench/BenchCommon.h"
 #include "gen/Generator.h"
 #include "partition/PreparedCache.h"
+#include "partition/UnlockedRHOP.h"
 #include "support/ThreadPool.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -228,7 +230,9 @@ int main(int argc, char **argv) {
     {
       telemetry::ScopedSession Scope(CacheSession);
       std::string Key = "gen_scale:" + Rec.Repro;
-      auto Build = [&GO] { return gen::generateProgram(GO); };
+      auto Build = [&GO](std::vector<support::Diag> &) {
+        return gen::generateProgram(GO);
+      };
       auto Cold = PreparedProgramCache::global().get(
           Key, /*MaxSteps=*/200000000ULL, /*CaptureTrace=*/false, Build);
       if (!Cold->Prog || !Cold->PP.Ok) {
@@ -246,7 +250,9 @@ int main(int argc, char **argv) {
 
     auto Cached = PreparedProgramCache::global().get(
         "gen_scale:" + Rec.Repro, 200000000ULL, false,
-        [&GO] { return gen::generateProgram(GO); });
+        [&GO](std::vector<support::Diag> &) {
+          return gen::generateProgram(GO);
+        });
     const PreparedProgram &PP = Cached->PP;
 
     // The four-strategy matrix at each thread count. Results must be
@@ -257,13 +263,17 @@ int main(int argc, char **argv) {
       TR.Threads = T;
       support::ThreadPool Pool(T - 1);
       std::vector<StrategyKind> Tasks(std::begin(Kinds), std::end(Kinds));
+      // Each thread count starts from an empty unlocked-RHOP table, so its
+      // wall time does not reuse RHOP runs an earlier count made.
+      PreparedProgram Fresh = PP;
+      Fresh.Unlocked = std::make_shared<UnlockedRHOPTable>();
       double Begin = nowSec();
       std::vector<PipelineResult> Results =
           Pool.parallelMap(Tasks, [&](const StrategyKind &K) {
             PipelineOptions Opt;
             Opt.Strategy = K;
             Opt.MoveLatency = Latency;
-            return runStrategy(PP, Opt);
+            return runStrategy(Fresh, Opt);
           });
       TR.MatrixWallSec = nowSec() - Begin;
       for (size_t C = 0; C != Tasks.size(); ++C)

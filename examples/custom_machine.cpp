@@ -19,8 +19,7 @@
 using namespace gdp;
 
 static MachineModel buildHeterogeneousMachine() {
-  MachineModel MM = MachineModel::makeDefault(4, /*MoveLatency=*/3,
-                                              MemoryModelKind::Partitioned);
+  MachineModel MM = MachineModel::makeDefault(4, /*MoveLatency=*/3);
   // Cluster 0: double-width integer and memory resources.
   ClusterConfig Wide;
   Wide.NumInteger = 4;
@@ -39,11 +38,9 @@ static void report(const std::string &Name, const PreparedProgram &PP,
   Opt.Machine = &MM;
   PipelineResult R = runStrategy(PP, Opt);
 
+  // The same machine under the Unified strategy: one shared memory.
   PipelineOptions UniOpt = Opt;
-  MachineModel UniMM = MM;
-  UniMM.setMemoryModel(MemoryModelKind::Unified);
   UniOpt.Strategy = StrategyKind::Unified;
-  UniOpt.Machine = &UniMM;
   uint64_t Unified = runStrategy(PP, UniOpt).Cycles;
 
   // Data and operation distribution across the 4 clusters.

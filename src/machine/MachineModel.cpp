@@ -40,15 +40,13 @@ static unsigned defaultLatency(Opcode Op) {
 }
 
 MachineModel MachineModel::makeDefault(unsigned NumClusters,
-                                       unsigned MoveLatency,
-                                       MemoryModelKind Memory) {
+                                       unsigned MoveLatency) {
   assert(NumClusters >= 1 && "machine needs at least one cluster");
   MachineModel MM;
   for (unsigned C = 0; C != NumClusters; ++C)
     MM.addCluster(ClusterConfig());
   MM.setMoveLatency(MoveLatency);
   MM.setMoveBandwidth(1);
-  MM.setMemoryModel(Memory);
   return MM;
 }
 

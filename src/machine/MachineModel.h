@@ -6,8 +6,10 @@
 ///
 /// \file
 /// Description of the target multicluster VLIW processor: per-cluster
-/// function units, operation latencies, the intercluster interconnect, and
-/// the data-memory organization (unified vs. fully partitioned).
+/// function units, operation latencies, the intercluster interconnect and
+/// the per-cluster data-memory capacity. Whether memory is unified or
+/// partitioned is not a machine property: it is what distinguishes the
+/// Unified strategy from the others (partition/Pipeline.h).
 ///
 /// The paper's evaluation machine (§4.1) is the default: 2 homogeneous
 /// clusters, each with 2 integer, 1 float, 1 memory and 1 branch unit,
@@ -49,26 +51,19 @@ struct ClusterConfig {
     }
     return 0;
   }
-};
 
-/// How the data memory is organized.
-enum class MemoryModelKind {
-  /// One shared multiported memory reachable from every cluster at uniform
-  /// latency — the paper's upper-bound configuration.
-  Unified,
-  /// One private memory per cluster; every data object has exactly one home
-  /// cluster and memory operations must execute there.
-  Partitioned,
+  bool operator==(const ClusterConfig &O) const = default;
 };
 
 /// A complete machine description.
 class MachineModel {
 public:
   /// The paper's 2-cluster evaluation machine with the given intercluster
-  /// move latency and memory organization.
-  static MachineModel makeDefault(
-      unsigned NumClusters = 2, unsigned MoveLatency = 5,
-      MemoryModelKind Memory = MemoryModelKind::Partitioned);
+  /// move latency.
+  static MachineModel makeDefault(unsigned NumClusters = 2,
+                                  unsigned MoveLatency = 5);
+
+  bool operator==(const MachineModel &O) const = default;
 
   unsigned getNumClusters() const {
     return static_cast<unsigned>(Clusters.size());
@@ -89,12 +84,6 @@ public:
   unsigned getMoveBandwidth() const { return MoveBandwidth; }
   void setMoveBandwidth(unsigned B) { MoveBandwidth = B; }
 
-  MemoryModelKind getMemoryModel() const { return Memory; }
-  void setMemoryModel(MemoryModelKind K) { Memory = K; }
-  bool hasPartitionedMemory() const {
-    return Memory == MemoryModelKind::Partitioned;
-  }
-
   /// Bytes of data memory per cluster. The byte-balance constraint of the
   /// global data partitioner exists to make the data fit each cluster's
   /// local memory (paper §3.2); when the program's footprint is far below
@@ -114,7 +103,6 @@ private:
   unsigned MoveLatency = 5;
   unsigned MoveBandwidth = 1;
   uint64_t ClusterMemoryBytes = 64 * 1024; ///< Typical clustered-VLIW SRAM.
-  MemoryModelKind Memory = MemoryModelKind::Partitioned;
   std::vector<int> LatencyOverride; // indexed by opcode; -1 = default
 };
 

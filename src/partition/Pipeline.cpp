@@ -4,6 +4,7 @@
 
 #include "analysis/PointsTo.h"
 #include "ir/Verifier.h"
+#include "partition/UnlockedRHOP.h"
 #include "profile/ExecTrace.h"
 #include "profile/Interpreter.h"
 #include "sched/ListScheduler.h"
@@ -90,17 +91,15 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
     PP.Prof.applyHeapSizes(P);
   }
   PP.Ok = true;
+  PP.Unlocked = std::make_shared<UnlockedRHOPTable>();
   Done();
   return PP;
 }
 
 MachineModel gdp::machineFor(const PipelineOptions &Opt) {
-  if (Opt.Machine)
-    return *Opt.Machine;
-  MemoryModelKind Mem = Opt.Strategy == StrategyKind::Unified
-                            ? MemoryModelKind::Unified
-                            : MemoryModelKind::Partitioned;
-  return MachineModel::makeDefault(Opt.NumClusters, Opt.MoveLatency, Mem);
+  return Opt.Machine ? *Opt.Machine
+                     : MachineModel::makeDefault(Opt.NumClusters,
+                                                 Opt.MoveLatency);
 }
 
 namespace {
@@ -159,6 +158,21 @@ objectAccessByCluster(const Program &P, const ProfileData &Prof,
       }
   }
   return Counts;
+}
+
+/// The unlocked (unified-memory) RHOP assignment of \p PP on \p MM, the
+/// first step of Unified, Naive and ProfileMax: computed once per prepared
+/// program, machine and options (partition/UnlockedRHOP.h).
+std::shared_ptr<const UnlockedRHOP> unlockedRHOP(const PreparedProgram &PP,
+                                                 const PipelineOptions &Opt,
+                                                 const MachineModel &MM,
+                                                 PipelineResult &R) {
+  PhaseClock T(R.Phases.RhopSeconds, "pipeline.rhop");
+  UnlockedRHOPTable Unshared; // For a preparation not made by prepareProgram.
+  UnlockedRHOPTable &Table = PP.Unlocked ? *PP.Unlocked : Unshared;
+  return Table.get(MM, Opt.RhopOpt, [&] {
+    return runRHOP(*PP.P, PP.Prof, MM, nullptr, Opt.RhopOpt);
+  });
 }
 
 /// GDP with built-in recovery: an infeasible first cut is retried once
@@ -236,10 +250,7 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
   unsigned NumClusters = MM.getNumClusters();
 
   // First detailed run: unified-memory assumption (no locks).
-  ClusterAssignment First = [&] {
-    PhaseClock T(R.Phases.RhopSeconds, "pipeline.rhop");
-    return runRHOP(P, PP.Prof, MM, nullptr, Opt.RhopOpt);
-  }();
+  std::shared_ptr<const UnlockedRHOP> First = unlockedRHOP(PP, Opt, MM, R);
 
   PhaseClock PlacementClock(R.Phases.DataPartitionSeconds,
                             "pipeline.data_partition");
@@ -249,7 +260,8 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
   ProgramGraph PG(P, PP.Prof);
   AccessMerge Merge(PG, P, Opt.DataOpt.Policy);
   auto Classes = Merge.objectClasses();
-  auto Counts = objectAccessByCluster(P, PP.Prof, First, NumClusters);
+  auto Counts =
+      objectAccessByCluster(P, PP.Prof, First->Assignment, NumClusters);
 
   struct ClassInfo {
     unsigned Index;
@@ -333,10 +345,7 @@ PipelineResult runNaiveStrategy(const PreparedProgram &PP,
   unsigned NumClusters = MM.getNumClusters();
 
   // Data-incognizant partitioning (unified-memory assumption).
-  {
-    PhaseClock T(R.Phases.RhopSeconds, "pipeline.rhop");
-    R.Assignment = runRHOP(P, PP.Prof, MM, nullptr, Opt.RhopOpt);
-  }
+  R.Assignment = unlockedRHOP(PP, Opt, MM, R)->Assignment;
   R.RHOPRuns = 1;
 
   PhaseClock PlacementClock(R.Phases.DataPartitionSeconds,
@@ -377,10 +386,7 @@ PipelineResult runUnifiedStrategy(const PreparedProgram &PP,
                                   const PipelineOptions &Opt,
                                   const MachineModel &MM) {
   PipelineResult R;
-  {
-    PhaseClock T(R.Phases.RhopSeconds, "pipeline.rhop");
-    R.Assignment = runRHOP(*PP.P, PP.Prof, MM, nullptr, Opt.RhopOpt);
-  }
+  R.Assignment = unlockedRHOP(PP, Opt, MM, R)->Assignment;
   R.RHOPRuns = 1;
   R.Placement = DataPlacement(PP.P->getNumObjects()); // All unplaced.
   return R;

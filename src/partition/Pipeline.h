@@ -14,7 +14,8 @@
 ///                dynamic access frequency, then a second locked RHOP run
 ///   Naive      — RHOP assuming unified memory; objects placed by majority
 ///                access; required moves inserted as a postpass
-///   Unified    — single multiported memory (upper-bound configuration)
+///   Unified    — RHOP assuming unified memory, objects left unplaced: a
+///                single multiported memory (upper-bound configuration)
 ///
 /// Every strategy reports total cycles (schedule length × block frequency),
 /// dynamic/static intercluster move counts, the data placement, and how
@@ -40,6 +41,7 @@
 namespace gdp {
 
 struct ExecTrace;
+class UnlockedRHOPTable;
 
 /// The four evaluated strategies (paper Table 1).
 enum class StrategyKind {
@@ -89,6 +91,10 @@ struct PreparedProgram {
   /// prepared with CaptureTrace (the cycle simulator's input). Shared so a
   /// PreparedProgram stays cheap to copy.
   std::shared_ptr<ExecTrace> Trace;
+  /// The unlocked RHOP assignments Unified, Naive and ProfileMax start
+  /// from, computed once per machine and options and shared by every copy
+  /// (partition/UnlockedRHOP.h). Attached by prepareProgram on success.
+  std::shared_ptr<UnlockedRHOPTable> Unlocked;
 };
 
 /// Verifies \p P, annotates memory access sets (points-to), interprets the
@@ -150,8 +156,8 @@ struct PipelineResult {
 PipelineResult runStrategy(const PreparedProgram &PP,
                            const PipelineOptions &Opt);
 
-/// Builds the machine the options describe (partitioned memory except for
-/// the Unified strategy).
+/// Builds the machine the options describe: Opt.Machine when set, else
+/// the paper's machine with Opt.NumClusters and Opt.MoveLatency.
 MachineModel machineFor(const PipelineOptions &Opt);
 
 } // namespace gdp

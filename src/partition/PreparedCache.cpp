@@ -40,7 +40,8 @@ void PreparedProgramCache::evictLocked(const std::string &Protect) {
 
 std::shared_ptr<const CachedPreparation> PreparedProgramCache::get(
     const std::string &Name, uint64_t MaxSteps, bool CaptureTrace,
-    const std::function<std::unique_ptr<Program>()> &Build) {
+    const std::function<std::unique_ptr<Program>(
+        std::vector<support::Diag> &Diags)> &Build) {
   std::string Key = Name + "|" + std::to_string(MaxSteps) +
                     (CaptureTrace ? "|trace" : "|notrace");
 
@@ -73,13 +74,11 @@ std::shared_ptr<const CachedPreparation> PreparedProgramCache::get(
     telemetry::counter("prepared_cache.misses");
 
   auto Built = std::make_shared<CachedPreparation>();
-  Built->Prog = Build();
+  Built->Prog = Build(Built->PP.Diags);
   if (Built->Prog)
     Built->PP = prepareProgram(*Built->Prog, MaxSteps, CaptureTrace);
-  else {
-    Built->PP.Ok = false;
+  else
     Built->PP.Error = "workload build failed";
-  }
   Promise.set_value(Built);
   return Mine.get();
 }

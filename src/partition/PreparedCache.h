@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace gdp {
 
@@ -62,10 +63,13 @@ public:
   /// Returns the cached preparation of \p Name (built with \p Build and
   /// prepared with the given options on first use). The result is shared:
   /// callers must not mutate the program. A failed preparation (PP.Ok
-  /// false) is cached too — it is deterministic.
+  /// false) is cached too — it is deterministic. When \p Build returns
+  /// null, the diagnostics it appended become the entry's PP.Diags, so
+  /// every later hit reports them without loading the program again.
   std::shared_ptr<const CachedPreparation>
   get(const std::string &Name, uint64_t MaxSteps, bool CaptureTrace,
-      const std::function<std::unique_ptr<Program>()> &Build);
+      const std::function<std::unique_ptr<Program>(
+          std::vector<support::Diag> &Diags)> &Build);
 
   /// Maximum resident entries (0 = unbounded).
   size_t capacity() const;

@@ -48,6 +48,8 @@ struct RHOPOptions {
   /// Coarsening stops at max(MinGroups, 2 × clusters) groups.
   unsigned MinGroups = 4;
   uint64_t Seed = 1;
+
+  bool operator==(const RHOPOptions &O) const = default;
 };
 
 /// Partitions every operation of \p P across the clusters of \p MM.

@@ -141,29 +141,16 @@ PartitionOutcome Service::partition(const PartitionRequest &Req,
   PipelineResult R;
   {
     telemetry::ScopedSession Scope(Shard);
+    // A program that fails to load caches as a failed preparation that
+    // carries the load diagnostics, so a repeated bad request is a hit.
     Prep = PreparedProgramCache::global().get(
-        Req.key(), Opt.MaxPrepareSteps, /*CaptureTrace=*/false, [&Req] {
-          std::vector<Diag> LoadDiags;
-          auto P = buildRequestProgram(Req, LoadDiags);
-          // A null program caches as a failed preparation; stash the load
-          // diagnostics on a stub so every waiter sees them.
-          (void)LoadDiags;
-          return P;
+        Req.key(), Opt.MaxPrepareSteps, /*CaptureTrace=*/false,
+        [&Req](std::vector<Diag> &LoadDiags) {
+          return buildRequestProgram(Req, LoadDiags);
         });
     Out.CacheHit = Shard.stats().getCounter("prepared_cache.hits") > 0;
 
-    if (!Prep || !Prep->Prog) {
-      // Rebuild the load diagnostics outside the cache (the build lambda
-      // cannot return them through the cache's program-only interface);
-      // loading is deterministic, so the diags match the cached failure.
-      std::vector<Diag> LoadDiags;
-      buildRequestProgram(Req, LoadDiags);
-      if (LoadDiags.empty())
-        LoadDiags.push_back(errorDiag(StatusCode::InputError, "serve.load",
-                                      "program failed to load"));
-      Out.S = Status::InputError;
-      Out.Body = diagsBody(LoadDiags);
-    } else if (!Prep->PP.Ok) {
+    if (!Prep->PP.Ok) {
       Out.S = Status::InputError;
       std::vector<Diag> Diags = Prep->PP.Diags;
       if (Diags.empty())

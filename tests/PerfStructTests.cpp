@@ -223,7 +223,7 @@ TEST(PreparedCacheTest, SecondGetHitsAndSharesTheSameEntry) {
   PreparedProgramCache &Cache = PreparedProgramCache::global();
 
   int Builds = 0;
-  auto Build = [&Builds] {
+  auto Build = [&Builds](std::vector<support::Diag> &) {
     ++Builds;
     return buildWorkload("fir");
   };
@@ -248,7 +248,7 @@ TEST(PreparedCacheTest, DistinctOptionsAreDistinctEntries) {
   PreparedProgramCache &Cache = PreparedProgramCache::global();
 
   int Builds = 0;
-  auto Build = [&Builds] {
+  auto Build = [&Builds](std::vector<support::Diag> &) {
     ++Builds;
     return buildWorkload("fir");
   };
@@ -270,7 +270,9 @@ TEST(PreparedCacheTest, CachedResultsAreImmutableAcrossUses) {
   // hands out a frozen preparation, not a scratch one.
   PreparedProgramCache &Cache = PreparedProgramCache::global();
   const std::string Key = "perfstruct-immutability";
-  auto Build = [] { return buildWorkload("viterbi"); };
+  auto Build = [](std::vector<support::Diag> &) {
+    return buildWorkload("viterbi");
+  };
   auto First = Cache.get(Key, 200000000ULL, false, Build);
   ASSERT_TRUE(First->PP.Ok) << First->PP.Error;
 
@@ -295,8 +297,11 @@ TEST(PreparedCacheTest, CachedResultsAreImmutableAcrossUses) {
 TEST(PreparedCacheTest, FailedBuildsAreCachedToo) {
   PreparedProgramCache &Cache = PreparedProgramCache::global();
   int Builds = 0;
-  auto Build = [&Builds]() -> std::unique_ptr<Program> {
+  auto Build = [&Builds](std::vector<support::Diag> &Diags)
+      -> std::unique_ptr<Program> {
     ++Builds;
+    Diags.push_back(support::errorDiag(support::StatusCode::InputError,
+                                       "test.load", "no such program"));
     return nullptr;
   };
   const std::string Key = "perfstruct-failure";
@@ -306,6 +311,10 @@ TEST(PreparedCacheTest, FailedBuildsAreCachedToo) {
   EXPECT_FALSE(First->Prog);
   EXPECT_FALSE(First->PP.Ok);
   EXPECT_EQ(Second.get(), First.get());
+  // The failure keeps the diagnostics its build gave, for every hit.
+  ASSERT_EQ(First->PP.Diags.size(), 1u);
+  EXPECT_EQ(First->PP.Diags[0].Site, "test.load");
+  EXPECT_EQ(First->PP.Diags[0].Message, "no such program");
 }
 
 TEST(PreparedCacheTest, LruEvictsLeastRecentlyUsedFirst) {
@@ -316,7 +325,7 @@ TEST(PreparedCacheTest, LruEvictsLeastRecentlyUsedFirst) {
   EXPECT_EQ(Cache.capacity(), 2u);
 
   int Builds = 0;
-  auto Build = [&Builds] {
+  auto Build = [&Builds](std::vector<support::Diag> &) {
     ++Builds;
     return buildWorkload("fir");
   };
@@ -349,7 +358,9 @@ TEST(PreparedCacheTest, LruEvictsLeastRecentlyUsedFirst) {
 TEST(PreparedCacheTest, SetCapacityEvictsDownImmediately) {
   PreparedProgramCache Cache;
   Cache.setCapacity(0); // Unbounded.
-  auto Build = [] { return buildWorkload("fir"); };
+  auto Build = [](std::vector<support::Diag> &) {
+    return buildWorkload("fir");
+  };
   for (const char *Key : {"k1", "k2", "k3", "k4"})
     Cache.get(Key, 1000000ULL, false, Build);
   EXPECT_EQ(Cache.size(), 4u);
@@ -360,7 +371,7 @@ TEST(PreparedCacheTest, SetCapacityEvictsDownImmediately) {
   EXPECT_EQ(Cache.evictionCount(), 3u);
   // The survivor is the most recently used key.
   int Builds = 0;
-  Cache.get("k4", 1000000ULL, false, [&Builds] {
+  Cache.get("k4", 1000000ULL, false, [&Builds](std::vector<support::Diag> &) {
     ++Builds;
     return buildWorkload("fir");
   });
@@ -398,7 +409,8 @@ TEST(RefinementDeterminism, RecordsByteIdenticalAt1_2_8Threads) {
   std::vector<bench::SuiteEntry> Entries;
   for (const char *Name : {"fir", "histogram"}) {
     auto C = PreparedProgramCache::global().get(
-        Name, 200000000ULL, false, [Name] { return buildWorkload(Name); });
+        Name, 200000000ULL, false,
+        [Name](std::vector<support::Diag> &) { return buildWorkload(Name); });
     ASSERT_TRUE(C->PP.Ok) << Name << ": " << C->PP.Error;
     bench::SuiteEntry E;
     E.Name = Name;

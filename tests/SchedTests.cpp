@@ -75,7 +75,6 @@ TEST(MachineModelTest, DefaultPaperMachine) {
   EXPECT_EQ(MM.getFUCount(0, FUKind::Branch), 1u);
   EXPECT_EQ(MM.getMoveLatency(), 5u);
   EXPECT_EQ(MM.getMoveBandwidth(), 1u);
-  EXPECT_TRUE(MM.hasPartitionedMemory());
 }
 
 TEST(MachineModelTest, Latencies) {

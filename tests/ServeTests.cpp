@@ -8,6 +8,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestJson.h"
+
+#include "gen/Generator.h"
+#include "partition/PreparedCache.h"
+#include "partition/UnlockedRHOP.h"
 #include "serve/Client.h"
 #include "serve/Coordinator.h"
 #include "serve/Server.h"
@@ -359,6 +364,92 @@ TEST(ServeServer, FilePathSpecRefused) {
   std::string Body;
   EXPECT_EQ(C.partition(Req, Body), Status::InputError);
   EXPECT_EQ(S.stop(), 0);
+}
+
+TEST(ServeService, FailedInlineIRIsCachedWithItsDiagnostics) {
+  // A program that fails to parse is loaded once: the repeat is a warm
+  // cache hit reporting the same diagnostics, with no second parse.
+  Service Svc(ServiceOptions{});
+  PartitionRequest Req;
+  Req.InlineIR = true;
+  Req.Spec = "program broken_cached\n"
+             "func f0 main()\n"
+             "bb0 (entry):\n"
+             "  r0 = nosuchop 1\n";
+  PartitionOutcome First = Svc.partition(Req);
+  PartitionOutcome Second = Svc.partition(Req);
+  EXPECT_EQ(First.S, Status::InputError);
+  EXPECT_NE(First.Body.find("\"diags\""), std::string::npos) << First.Body;
+  EXPECT_EQ(Second.S, First.S);
+  EXPECT_EQ(Second.Body, First.Body);
+  EXPECT_FALSE(First.CacheHit);
+  EXPECT_TRUE(Second.CacheHit);
+  EXPECT_EQ(Svc.registry().getCounter("prepared_cache.misses"), 1u);
+  EXPECT_EQ(Svc.registry().getCounter("prepared_cache.hits"), 1u);
+}
+
+TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
+  // gdpd serves any move latency for a cached program, so one client can
+  // ask for one program on endless machines. The program's unlocked-RHOP
+  // table stays within its cap, evicted machines rebuild, and every answer
+  // equals an evaluation on a fresh, uncached preparation.
+  ServiceOptions SO;
+  SO.Deterministic = true;
+  Service Svc(SO);
+  const std::string Spec = "gen:4243:60";
+  gen::GenOptions GO;
+  ASSERT_TRUE(gen::parseGenSpec(Spec, GO));
+  // Resident slots of the warm cache's preparation of Spec.
+  auto Slots = [&] {
+    auto C = PreparedProgramCache::global().get(
+        Spec, SO.MaxPrepareSteps, /*CaptureTrace=*/false,
+        [](std::vector<support::Diag> &) { return nullptr; });
+    return C->PP.Ok ? C->PP.Unlocked->size() : SIZE_MAX;
+  };
+
+  std::vector<unsigned> Latencies;
+  for (unsigned Lat = 1; Lat <= 110; ++Lat)
+    Latencies.push_back(Lat);
+  for (unsigned Lat = 1; Lat <= 10; ++Lat) // Long evicted: rebuilt.
+    Latencies.push_back(Lat);
+  const std::pair<const char *, StrategyKind> Strategies[] = {
+      {"unified", StrategyKind::Unified},
+      {"naive", StrategyKind::Naive},
+      {"profilemax", StrategyKind::ProfileMax}};
+  for (size_t I = 0; I != Latencies.size(); ++I) {
+    // Two of the three sharing strategies per latency: one builds the
+    // slot, the other hits it.
+    for (size_t J : {I % 3, (I + 1) % 3}) {
+      PartitionRequest Req;
+      Req.Spec = Spec;
+      Req.Strategy = Strategies[J].first;
+      Req.MoveLatency = Latencies[I];
+      PartitionOutcome Out = Svc.partition(Req);
+      ASSERT_EQ(Out.S, Status::Ok) << Out.Body;
+      testjson::JVal Doc;
+      std::string Err;
+      ASSERT_TRUE(testjson::parse(Out.Body, Doc, Err)) << Err;
+
+      auto P = gen::generateProgram(GO);
+      PreparedProgram PP = prepareProgram(*P, SO.MaxPrepareSteps);
+      PipelineOptions PO;
+      PO.Strategy = Strategies[J].second;
+      PO.MoveLatency = Latencies[I];
+      PipelineResult Want = runStrategy(PP, PO);
+      ASSERT_TRUE(Want.ok());
+      std::string Where =
+          formatStr("%s at latency %u", Req.Strategy.c_str(), Latencies[I]);
+      EXPECT_EQ(Doc["cycles"].Num, static_cast<double>(Want.Cycles)) << Where;
+      EXPECT_EQ(Doc["dynamic_moves"].Num,
+                static_cast<double>(Want.DynamicMoves))
+          << Where;
+      EXPECT_EQ(Doc["static_moves"].Num,
+                static_cast<double>(Want.StaticMoves))
+          << Where;
+      EXPECT_LE(Slots(), UnlockedRHOPTable::Capacity) << Where;
+    }
+  }
+  EXPECT_EQ(Slots(), UnlockedRHOPTable::Capacity);
 }
 
 TEST(ServeServer, BadStrategyRejected) {

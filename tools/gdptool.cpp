@@ -289,7 +289,8 @@ std::shared_ptr<const CachedPreparation>
 loadPrepared(const std::string &Spec, bool CaptureTrace = false) {
   std::string Key = Spec + (OptimizeFlag ? "|opt" : "");
   return PreparedProgramCache::global().get(
-      Key, /*MaxSteps=*/200000000ULL, CaptureTrace, [&Spec] {
+      Key, /*MaxSteps=*/200000000ULL, CaptureTrace,
+      [&Spec](std::vector<support::Diag> &) {
         std::unique_ptr<Program> P = loadProgram(Spec);
         if (P)
           maybeOptimize(*P);
