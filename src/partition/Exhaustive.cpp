@@ -32,7 +32,7 @@ ExhaustiveResult gdp::exhaustiveSearch(const PreparedProgram &PP,
                                        unsigned Threads,
                                        const support::Budget *B) {
   ExhaustiveResult Result;
-  if (!PP.Ok) {
+  if (!PP.Ok || !PP.Analyses) {
     Result.Ok = false;
     Result.Diags = PP.Diags;
     if (Result.Diags.empty())
@@ -62,7 +62,6 @@ ExhaustiveResult gdp::exhaustiveSearch(const PreparedProgram &PP,
     Threads = support::threadCountFromEnv();
 
   PipelineOptions Local = Opt;
-  Local.Strategy = StrategyKind::GDP; // Partitioned-memory machine.
   MachineModel MM = machineFor(Local);
   if (MM.getNumClusters() != 2) {
     Result.Ok = false;
@@ -86,8 +85,9 @@ ExhaustiveResult gdp::exhaustiveSearch(const PreparedProgram &PP,
     for (unsigned Obj = 0; Obj != N; ++Obj)
       Placement.setHome(Obj, static_cast<int>((Mask >> Obj) & 1));
     LockMap Locks = buildLockMap(P, Placement, PP.Prof);
-    ClusterAssignment CA = runRHOP(P, PP.Prof, MM, &Locks, Local.RhopOpt);
-    ProgramSchedule PS = scheduleProgram(P, PP.Prof, MM, CA);
+    ClusterAssignment CA =
+        runRHOP(*PP.Analyses, PP.Prof, MM, &Locks, Local.RhopOpt);
+    ProgramSchedule PS = scheduleProgram(*PP.Analyses, PP.Prof, MM, CA);
 
     ExhaustivePoint &Pt = Result.Points[Mask];
     Pt.Mask = Mask;

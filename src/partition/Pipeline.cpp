@@ -90,6 +90,10 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
     PP.Prof = Interp.getProfile();
     PP.Prof.applyHeapSizes(P);
   }
+  {
+    telemetry::ScopedTimer T("pipeline.prepare.analyses");
+    PP.Analyses = std::make_shared<const ProgramAnalyses>(P);
+  }
   PP.Ok = true;
   PP.Unlocked = std::make_shared<UnlockedRHOPTable>();
   Done();
@@ -171,7 +175,7 @@ std::shared_ptr<const UnlockedRHOP> unlockedRHOP(const PreparedProgram &PP,
   UnlockedRHOPTable Unshared; // For a preparation not made by prepareProgram.
   UnlockedRHOPTable &Table = PP.Unlocked ? *PP.Unlocked : Unshared;
   return Table.get(MM, Opt.RhopOpt, [&] {
-    return runRHOP(*PP.P, PP.Prof, MM, nullptr, Opt.RhopOpt);
+    return runRHOP(*PP.Analyses, PP.Prof, MM, nullptr, Opt.RhopOpt);
   });
 }
 
@@ -235,7 +239,7 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
       return R;
     }
     LockMap Locks = buildLockMap(*PP.P, R.Placement, PP.Prof);
-    R.Assignment = runRHOP(*PP.P, PP.Prof, MM, &Locks, Opt.RhopOpt);
+    R.Assignment = runRHOP(*PP.Analyses, PP.Prof, MM, &Locks, Opt.RhopOpt);
   }
   R.RHOPRuns = 1;
   return R;
@@ -331,7 +335,7 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
       return R;
     }
     LockMap Locks = buildLockMap(P, R.Placement, PP.Prof);
-    R.Assignment = runRHOP(P, PP.Prof, MM, &Locks, Opt.RhopOpt);
+    R.Assignment = runRHOP(*PP.Analyses, PP.Prof, MM, &Locks, Opt.RhopOpt);
   }
   R.RHOPRuns = 2;
   return R;
@@ -409,7 +413,7 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
   if (PP.P)
     Strat.attr("program", PP.P->getName());
 
-  if (!PP.Ok) {
+  if (!PP.Ok || !PP.Analyses) {
     R.Failed = true;
     R.Diags = PP.Diags;
     if (R.Diags.empty())
@@ -505,7 +509,8 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
       R.Failed = true;
       R.Diags.push_back(support::injectedFaultDiag("sched.estimate"));
     } else {
-      ProgramSchedule PS = scheduleProgram(*PP.P, PP.Prof, MM, R.Assignment);
+      ProgramSchedule PS =
+          scheduleProgram(*PP.Analyses, PP.Prof, MM, R.Assignment);
       R.Cycles = PS.TotalCycles;
       R.DynamicMoves = PS.DynamicMoves;
       R.StaticMoves = PS.StaticMoves;

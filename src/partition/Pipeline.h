@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The top-level public API: prepare a program (verify, run points-to
-/// annotation, profile it) and evaluate one of the paper's four
-/// object/computation partitioning strategies on it (Table 1):
+/// annotation, profile it, build its analyses) and evaluate one of the
+/// paper's four object/computation partitioning strategies on it
+/// (Table 1):
 ///
 ///   GDP        — global data partitioning, then RHOP with locked memory ops
 ///   ProfileMax — RHOP assuming unified memory, greedy object assignment by
@@ -41,6 +42,7 @@
 namespace gdp {
 
 struct ExecTrace;
+class ProgramAnalyses;
 class UnlockedRHOPTable;
 
 /// The four evaluated strategies (paper Table 1).
@@ -86,11 +88,17 @@ struct PreparedProgram {
   /// Structured form of Error: verifier diagnostics verbatim, or one
   /// diagnostic for a points-to/profiling failure. Empty on success.
   std::vector<support::Diag> Diags;
-  double PrepareSeconds = 0; ///< Verify + points-to + profiling wall clock.
+  /// Verify + points-to + profiling + analyses wall clock.
+  double PrepareSeconds = 0;
   /// Dynamic trace of the profiling run, present only when the program was
   /// prepared with CaptureTrace (the cycle simulator's input). Shared so a
   /// PreparedProgram stays cheap to copy.
   std::shared_ptr<ExecTrace> Trace;
+  /// CFG, loops and region DFGs of every function (sched/BlockDFG.h), the
+  /// input of RHOP, the scheduler and the simulator. Built once by
+  /// prepareProgram on success and shared by every copy; null when
+  /// preparation failed.
+  std::shared_ptr<const ProgramAnalyses> Analyses;
   /// The unlocked RHOP assignments Unified, Naive and ProfileMax start
   /// from, computed once per machine and options and shared by every copy
   /// (partition/UnlockedRHOP.h). Attached by prepareProgram on success.
@@ -98,8 +106,9 @@ struct PreparedProgram {
 };
 
 /// Verifies \p P, annotates memory access sets (points-to), interprets the
-/// program to collect the profile, and applies the profiled heap sizes.
-/// With \p CaptureTrace the profiling run also records the dynamic
+/// program to collect the profile, applies the profiled heap sizes, and
+/// builds the program's analyses (CFG, loops, region DFGs). With
+/// \p CaptureTrace the profiling run also records the dynamic
 /// block/access trace (profile/ExecTrace.h) for sim/Simulator.
 PreparedProgram prepareProgram(Program &P, uint64_t MaxSteps = 200000000ULL,
                                bool CaptureTrace = false);
@@ -107,7 +116,9 @@ PreparedProgram prepareProgram(Program &P, uint64_t MaxSteps = 200000000ULL,
 /// Wall-clock breakdown of one strategy evaluation (the §4.5 compile-time
 /// comparison, now per phase instead of one opaque duration).
 struct PhaseTimes {
-  double PrepareSeconds = 0;       ///< Verify + points-to + profile (shared).
+  /// Verify + points-to + profile + CFG/loops/def-use/region DFGs
+  /// (shared by every strategy evaluated on the preparation).
+  double PrepareSeconds = 0;
   double DataPartitionSeconds = 0; ///< GDP pass 1 / ProfileMax placement.
   double RhopSeconds = 0;          ///< All detailed-partitioner runs.
   double ScheduleSeconds = 0;      ///< Final program schedule.

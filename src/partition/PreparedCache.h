@@ -6,13 +6,13 @@
 ///
 /// \file
 /// A keyed, process-wide cache of prepared programs. Preparation (verify +
-/// points-to + profiling interpretation) is by far the most expensive
-/// per-workload step and also *mutates* the program (profiled heap sizes
-/// are applied), so a program must be prepared exactly once and then
-/// treated as immutable. The cache enforces both: the first request for a
-/// key builds and prepares the workload; every later request — from any
-/// thread, any (strategy, latency) cell, any bench or test in the same
-/// process — shares the same immutable result.
+/// points-to + profiling interpretation + analyses) is by far the most
+/// expensive per-workload step and also *mutates* the program (profiled
+/// heap sizes are applied), so a program must be prepared exactly once
+/// and then treated as immutable. The cache enforces both: the first
+/// request for a key builds and prepares the workload; every later
+/// request — from any thread, any (strategy, latency) cell, any bench or
+/// test in the same process — shares the same immutable result.
 ///
 /// Residency is bounded: entries are kept in LRU order and, once the
 /// configurable capacity is exceeded, the least-recently-used *completed*

@@ -3,7 +3,6 @@
 #include "partition/ProgramGraph.h"
 
 #include "analysis/DefUse.h"
-#include "analysis/OpIndex.h"
 #include "ir/Program.h"
 #include "profile/ProfileData.h"
 
@@ -34,11 +33,18 @@ ProgramGraph::ProgramGraph(const Program &P, const ProfileData &Prof) {
     }
   }
 
+  // Def-use chains of every function, built once: the flow edges read the
+  // function's own and the call edges its callees'.
+  std::vector<DefUse> DUs;
+  DUs.reserve(P.getNumFunctions());
+  for (unsigned F = 0; F != P.getNumFunctions(); ++F)
+    DUs.emplace_back(P.getFunction(F));
+
   // --- Register-flow edges from def-use chains, weighted by the use
   // block's execution frequency (at least 1 so cold code still coheres).
   for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
     const Function &Fn = P.getFunction(F);
-    DefUse DU(Fn);
+    const DefUse &DU = DUs[F];
     for (const auto &BB : Fn.blocks()) {
       for (const auto &Op : BB->operations()) {
         unsigned UseId = static_cast<unsigned>(Op->getId());
@@ -69,9 +75,8 @@ ProgramGraph::ProgramGraph(const Program &P, const ProfileData &Prof) {
             1, Prof.getBlockFreq(F, static_cast<unsigned>(BB->getId())));
         unsigned CalleeId = static_cast<unsigned>(Op->getCallee());
         const Function &Callee = P.getFunction(CalleeId);
-        DefUse CalleeDU(Callee);
         for (unsigned Param = 0; Param != Callee.getNumParams(); ++Param)
-          for (const auto &Use : CalleeDU.usesOfParam(Param))
+          for (const auto &Use : DUs[CalleeId].usesOfParam(Param))
             Edges.push_back(
                 {CallNode,
                  nodeOf(CalleeId, static_cast<unsigned>(Use.OpId)), W});

@@ -2,10 +2,6 @@
 
 #include "partition/RHOP.h"
 
-#include "analysis/CFG.h"
-#include "analysis/DefUse.h"
-#include "analysis/LoopInfo.h"
-#include "analysis/OpIndex.h"
 #include "machine/MachineModel.h"
 #include "profile/ProfileData.h"
 #include "sched/BlockDFG.h"
@@ -446,11 +442,13 @@ void runRegion(const BlockDFG &DFG, RegionPlan &Plan, const MachineModel &MM,
 
 } // namespace
 
-ClusterAssignment gdp::runRHOP(const Program &P, const ProfileData &Prof,
+ClusterAssignment gdp::runRHOP(const ProgramAnalyses &PA,
+                               const ProfileData &Prof,
                                const MachineModel &MM, const LockMap *Locks,
                                const RHOPOptions &Opt) {
   (void)Prof; // Frequencies shape the program-level pass; regions are
               // independent here (each block optimized on its own).
+  const Program &P = PA.program();
   ClusterAssignment CA(P);
   Random RNG(Opt.Seed);
   RhopStats RS;
@@ -463,29 +461,20 @@ ClusterAssignment gdp::runRHOP(const Program &P, const ProfileData &Prof,
   RhopScratch Scratch(A);
 
   for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
-    const Function &Fn = P.getFunction(F);
-    OpIndex OI(Fn);
-    DefUse DU(Fn);
-    CFG Cfg(Fn);
-    LoopInfo LI(Fn, Cfg);
+    const FunctionAnalyses &FA = PA.function(F);
     const std::vector<int> *FuncLocks = Locks ? &(*Locks)[F] : nullptr;
 
-    // Prebuild region DFGs and (lazily) their plans once; sweeps reuse
-    // them across function passes.
-    std::vector<BlockDFG> DFGs;
-    DFGs.reserve(Fn.getNumBlocks());
-    for (unsigned B = 0; B != Fn.getNumBlocks(); ++B)
-      DFGs.emplace_back(Fn, Fn.getBlock(B), DU, OI, &LI);
+    // Region plans are built lazily and reused across function passes.
     std::vector<RegionPlan> Plans;
-    Plans.reserve(Fn.getNumBlocks());
-    for (unsigned B = 0; B != Fn.getNumBlocks(); ++B)
+    Plans.reserve(FA.numBlocks());
+    for (unsigned B = 0; B != FA.numBlocks(); ++B)
       Plans.emplace_back(A);
 
     for (unsigned Pass = 0; Pass != std::max(1u, Opt.NumFunctionPasses);
          ++Pass)
-      for (int B : Cfg.reversePostOrder()) {
+      for (int B : FA.cfg().reversePostOrder()) {
         unsigned BI = static_cast<unsigned>(B);
-        runRegion(DFGs[BI], Plans[BI], MM, FuncLocks, CA.func(F), Opt, RNG,
+        runRegion(FA.dfg(BI), Plans[BI], MM, FuncLocks, CA.func(F), Opt, RNG,
                   RS, Scratch);
       }
   }

@@ -29,6 +29,7 @@
 #define GDP_PARTITION_RHOP_H
 
 #include "partition/DataPlacement.h"
+#include "sched/BlockDFG.h"
 #include "sched/ClusterAssignment.h"
 
 #include <cstdint>
@@ -52,12 +53,13 @@ struct RHOPOptions {
   bool operator==(const RHOPOptions &O) const = default;
 };
 
-/// Partitions every operation of \p P across the clusters of \p MM.
+/// Partitions every operation of \p PA's program across the clusters of
+/// \p MM, over the region DFGs \p PA holds (sched/BlockDFG.h).
 ///
 /// \param Locks optional per-function, per-operation pre-assignments
 ///        (memory operations pinned to object home clusters); pass null
 ///        for the unified-memory mode where every operation is free.
-ClusterAssignment runRHOP(const Program &P, const ProfileData &Prof,
+ClusterAssignment runRHOP(const ProgramAnalyses &PA, const ProfileData &Prof,
                           const MachineModel &MM, const LockMap *Locks,
                           const RHOPOptions &Opt = RHOPOptions());
 

@@ -3,9 +3,8 @@
 #include "sched/BlockDFG.h"
 
 #include "analysis/DefUse.h"
-#include "analysis/LoopInfo.h"
 #include "analysis/OpIndex.h"
-#include "ir/Function.h"
+#include "ir/Program.h"
 
 #include <algorithm>
 #include <cassert>
@@ -50,22 +49,12 @@ void BlockDFG::addEdge(unsigned From, unsigned To, EdgeKind Kind) {
   Preds[To].push_back(Idx);
 }
 
-int BlockDFG::localIndexOf(unsigned OpId) const {
-  if (OpId >= LocalOf.size())
-    return -1;
-  return LocalOf[OpId];
-}
-
-BlockDFG::BlockDFG(const Function &F, const BasicBlock &BB, const DefUse &DU,
-                   const OpIndex &OI, const LoopInfo *LI) {
+BlockDFG::BlockDFG(const BasicBlock &BB, const DefUse &DU, const OpIndex &OI,
+                   const LoopInfo *LI) {
   unsigned N = BB.size();
   Ops.reserve(N);
-  LocalOf.assign(F.getNumOpIds(), -1);
-  for (unsigned I = 0; I != N; ++I) {
-    const Operation &Op = BB.getOp(I);
-    LocalOf[static_cast<unsigned>(Op.getId())] = static_cast<int>(I);
-    Ops.push_back(&Op);
-  }
+  for (unsigned I = 0; I != N; ++I)
+    Ops.push_back(&BB.getOp(I));
   Succs.resize(N);
   Preds.resize(N);
 
@@ -82,17 +71,19 @@ BlockDFG::BlockDFG(const Function &F, const BasicBlock &BB, const DefUse &DU,
           LiveInList.push_back({U, -1, Hoist});
           continue;
         }
-        int Local = LocalOf[static_cast<unsigned>(Def.OpId)];
+        unsigned DefId = static_cast<unsigned>(Def.OpId);
+        int DefBlock = OI.getBlockOf(DefId);
         // A same-block def reaches this use only if it precedes it; a def
         // later in the block reaches uses here only around the loop —
-        // that's a cross-iteration value, treated as a live-in.
-        if (Local >= 0 && static_cast<unsigned>(Local) < U) {
-          addEdge(static_cast<unsigned>(Local), U, EdgeKind::Data);
+        // that's a cross-iteration value, treated as a live-in. A block's
+        // local indices are its positions.
+        unsigned Local = static_cast<unsigned>(OI.getPosInBlock(DefId));
+        if (DefBlock == BB.getId() && Local < U) {
+          addEdge(Local, U, EdgeKind::Data);
         } else {
           bool Hoist =
-              LI && LI->isHoistableLiveIn(
-                        OI.getBlockOf(static_cast<unsigned>(Def.OpId)),
-                        static_cast<unsigned>(BB.getId()));
+              LI && LI->isHoistableLiveIn(DefBlock,
+                                          static_cast<unsigned>(BB.getId()));
           LiveInList.push_back({U, Def.OpId, Hoist});
         }
       }
@@ -147,5 +138,19 @@ BlockDFG::BlockDFG(const Function &F, const BasicBlock &BB, const DefUse &DU,
   if (N != 0 && Ops[N - 1]->isTerminator())
     for (unsigned I = 0; I + 1 < N; ++I)
       addEdge(I, N - 1, EdgeKind::Order);
+}
 
+FunctionAnalyses::FunctionAnalyses(const Function &F)
+    : Cfg(F), Loops(F, Cfg) {
+  OpIndex OI(F);
+  DefUse DU(F);
+  DFGs.reserve(F.getNumBlocks());
+  for (unsigned B = 0; B != F.getNumBlocks(); ++B)
+    DFGs.emplace_back(F.getBlock(B), DU, OI, &Loops);
+}
+
+ProgramAnalyses::ProgramAnalyses(const Program &P) : P(&P) {
+  Funcs.reserve(P.getNumFunctions());
+  for (unsigned F = 0; F != P.getNumFunctions(); ++F)
+    Funcs.emplace_back(P.getFunction(F));
 }

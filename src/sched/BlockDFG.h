@@ -13,10 +13,18 @@
 /// so the scheduler can charge intercluster moves when the producer lives
 /// on a different cluster.
 ///
+/// ProgramAnalyses bundles, per function, the CFG, the loop nesting and
+/// every block's DFG. prepareProgram builds it once per prepared program;
+/// RHOP, the list scheduler and the simulator read that one bundle instead
+/// of rebuilding the analyses per call.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GDP_SCHED_BLOCKDFG_H
 #define GDP_SCHED_BLOCKDFG_H
+
+#include "analysis/CFG.h"
+#include "analysis/LoopInfo.h"
 
 #include <vector>
 
@@ -25,9 +33,9 @@ namespace gdp {
 class BasicBlock;
 class DefUse;
 class Function;
-class LoopInfo;
 class OpIndex;
 class Operation;
+class Program;
 
 /// Data-flow graph over the operations of one block. Nodes are local
 /// indices [0, size) in program order.
@@ -58,13 +66,11 @@ public:
 
   /// Builds the region DFG. When \p LI is given, live-ins of values that
   /// are invariant in this block's innermost loop are marked hoistable.
-  BlockDFG(const Function &F, const BasicBlock &BB, const DefUse &DU,
-           const OpIndex &OI, const LoopInfo *LI = nullptr);
+  BlockDFG(const BasicBlock &BB, const DefUse &DU, const OpIndex &OI,
+           const LoopInfo *LI = nullptr);
 
   unsigned size() const { return static_cast<unsigned>(Ops.size()); }
   const Operation &getOp(unsigned Local) const { return *Ops[Local]; }
-  /// Local index of operation id \p OpId, or -1 if not in this block.
-  int localIndexOf(unsigned OpId) const;
 
   const std::vector<Edge> &edges() const { return Edges; }
   /// Outgoing edge indices of \p Local.
@@ -81,11 +87,48 @@ private:
   void addEdge(unsigned From, unsigned To, EdgeKind Kind);
 
   std::vector<const Operation *> Ops;
-  std::vector<int> LocalOf; // op id -> local index or -1
   std::vector<Edge> Edges;
   std::vector<std::vector<unsigned>> Succs;
   std::vector<std::vector<unsigned>> Preds;
   std::vector<LiveIn> LiveInList;
+};
+
+/// The analyses of one function that outlive their construction: its CFG,
+/// its loop nesting, and one DFG per block (with hoistable live-ins
+/// marked). The def-use chains and operation index the DFGs are built
+/// from are dropped once they are.
+class FunctionAnalyses {
+public:
+  explicit FunctionAnalyses(const Function &F);
+
+  unsigned numBlocks() const { return static_cast<unsigned>(DFGs.size()); }
+  const CFG &cfg() const { return Cfg; }
+  const LoopInfo &loops() const { return Loops; }
+  const BlockDFG &dfg(unsigned Block) const { return DFGs[Block]; }
+
+private:
+  CFG Cfg;
+  LoopInfo Loops;
+  std::vector<BlockDFG> DFGs;
+};
+
+/// FunctionAnalyses for every function of a program. Immutable once built,
+/// so concurrent readers need no synchronization. It points into the
+/// program (operations, access sets), which must outlive it and must not
+/// change while it is in use; build it after points-to annotation, since
+/// memory ordering edges read the access sets.
+class ProgramAnalyses {
+public:
+  /// Implicit on purpose: a call that passes a Program where a bundle is
+  /// expected builds one for the duration of that call.
+  ProgramAnalyses(const Program &P);
+
+  const Program &program() const { return *P; }
+  const FunctionAnalyses &function(unsigned F) const { return Funcs[F]; }
+
+private:
+  const Program *P;
+  std::vector<FunctionAnalyses> Funcs;
 };
 
 } // namespace gdp

@@ -2,10 +2,6 @@
 
 #include "sched/ListScheduler.h"
 
-#include "analysis/DefUse.h"
-#include "analysis/LoopInfo.h"
-#include "analysis/CFG.h"
-#include "analysis/OpIndex.h"
 #include "machine/MachineModel.h"
 #include "profile/ProfileData.h"
 #include "support/Telemetry.h"
@@ -211,10 +207,11 @@ BlockSchedule gdp::scheduleBlock(const BlockDFG &DFG, const MachineModel &MM,
   return Result;
 }
 
-ProgramSchedule gdp::scheduleProgram(const Program &P,
+ProgramSchedule gdp::scheduleProgram(const ProgramAnalyses &PA,
                                      const ProfileData &Prof,
                                      const MachineModel &MM,
                                      const ClusterAssignment &CA) {
+  const Program &P = PA.program();
   ProgramSchedule Result;
   Result.BlockLengths.resize(P.getNumFunctions());
 
@@ -229,21 +226,17 @@ ProgramSchedule gdp::scheduleProgram(const Program &P,
 
   uint64_t Blocks = 0, Ops = 0;
   for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
-    const Function &Fn = P.getFunction(F);
-    OpIndex OI(Fn);
-    DefUse DU(Fn);
-    CFG Cfg(Fn);
-    LoopInfo LI(Fn, Cfg);
-    Result.BlockLengths[F].resize(Fn.getNumBlocks());
-    for (unsigned B = 0; B != Fn.getNumBlocks(); ++B) {
-      BlockDFG DFG(Fn, Fn.getBlock(B), DU, OI, &LI);
+    const FunctionAnalyses &FA = PA.function(F);
+    Result.BlockLengths[F].resize(FA.numBlocks());
+    for (unsigned B = 0; B != FA.numBlocks(); ++B) {
+      const BlockDFG &DFG = FA.dfg(B);
       BlockSchedule BS = scheduleBlock(DFG, MM, CA.func(F));
       Result.BlockLengths[F][B] = BS.Length;
       uint64_t Freq = Prof.getBlockFreq(F, B);
       Result.TotalCycles += static_cast<uint64_t>(BS.Length) * Freq;
       Result.DynamicMoves += static_cast<uint64_t>(BS.NumMoves) * Freq;
       Result.DynamicMoves += static_cast<uint64_t>(BS.HoistedMoves) *
-                             LI.entryCountOf(B, F, Prof);
+                             FA.loops().entryCountOf(B, F, Prof);
       Result.StaticMoves += BS.NumMoves + BS.HoistedMoves;
       ++Blocks;
       Ops += DFG.size();

@@ -66,8 +66,10 @@ struct ProgramSchedule {
   std::vector<std::vector<unsigned>> BlockLengths;
 };
 
-/// Schedules every block of every function and folds in the profile.
-ProgramSchedule scheduleProgram(const Program &P, const ProfileData &Prof,
+/// Schedules every block of every function of \p PA's program, over the
+/// region DFGs \p PA holds, and folds in the profile.
+ProgramSchedule scheduleProgram(const ProgramAnalyses &PA,
+                                const ProfileData &Prof,
                                 const MachineModel &MM,
                                 const ClusterAssignment &CA);
 

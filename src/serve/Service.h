@@ -9,7 +9,8 @@
 /// resolve a spec (named workload, `gen:SEED[:OPS]`, or inline IR text —
 /// a served daemon never opens request-named files), prepare it through
 /// the process-wide `PreparedProgramCache` (the warm cache: repeated
-/// requests for the same spec share one verify+points-to+profile pass),
+/// requests for the same spec share one verify+points-to+profile pass and
+/// one analysis bundle — CFG, loops, def-use-derived region DFGs),
 /// evaluate the requested strategy under the request's deadline budget,
 /// and render the result as JSON.
 ///

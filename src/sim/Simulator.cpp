@@ -2,16 +2,11 @@
 
 #include "sim/Simulator.h"
 
-#include "analysis/CFG.h"
-#include "analysis/DefUse.h"
 #include "ir/Program.h"
-#include "analysis/LoopInfo.h"
-#include "analysis/OpIndex.h"
 #include "machine/MachineModel.h"
 #include "partition/DataPlacement.h"
 #include "partition/Pipeline.h"
 #include "profile/ExecTrace.h"
-#include "sched/BlockDFG.h"
 #include "sched/ListScheduler.h"
 #include "support/FaultInjector.h"
 #include "support/StrUtil.h"
@@ -24,11 +19,14 @@ using namespace gdp;
 
 namespace {
 
-/// The intercluster bus: getMoveBandwidth() issue slots, each accepting one
-/// move per cycle. Requests are granted on the earliest-free slot.
-class BusQueue {
+/// Identical units granted on the earliest-free one, each accepting one
+/// request per cycle: the intercluster bus (getMoveBandwidth() issue
+/// slots) and one cluster's memory ports, which serialize remote
+/// (cross-cluster) requests. Local accesses are already paid inside the
+/// static block schedules; only the extra remote traffic competes there.
+class SlotQueue {
 public:
-  BusQueue(unsigned Bandwidth) : SlotFree(std::max(1u, Bandwidth), 0) {}
+  explicit SlotQueue(unsigned Slots) : SlotFree(std::max(1u, Slots), 0) {}
 
   /// Grants a slot at the earliest cycle >= \p Earliest; returns the issue
   /// cycle (>= Earliest; the excess is queuing delay).
@@ -44,27 +42,6 @@ public:
 
 private:
   std::vector<uint64_t> SlotFree;
-};
-
-/// One cluster's memory ports, serializing remote (cross-cluster) requests.
-/// Local accesses are already paid inside the static block schedules; only
-/// the extra remote traffic competes here.
-class MemPorts {
-public:
-  MemPorts(unsigned NumPorts) : PortFree(std::max(1u, NumPorts), 0) {}
-
-  uint64_t reserve(uint64_t Earliest) {
-    size_t Best = 0;
-    for (size_t S = 1; S != PortFree.size(); ++S)
-      if (PortFree[S] < PortFree[Best])
-        Best = S;
-    uint64_t Issue = std::max(Earliest, PortFree[Best]);
-    PortFree[Best] = Issue + 1;
-    return Issue;
-  }
-
-private:
-  std::vector<uint64_t> PortFree;
 };
 
 /// A memory operation of one block, as the replayer needs it.
@@ -98,11 +75,12 @@ struct FuncDesc {
 
 } // namespace
 
-SimResult gdp::simulateTrace(const Program &P, const ExecTrace &Trace,
-                             const MachineModel &MM,
+SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
+                             const ExecTrace &Trace, const MachineModel &MM,
                              const ClusterAssignment &CA,
                              const DataPlacement &Placement) {
   telemetry::ScopedTimer Timer("sim.run");
+  const Program &P = PA.program();
   SimResult R;
   unsigned NumClusters = MM.getNumClusters();
   unsigned MoveLat = MM.getMoveLatency();
@@ -126,22 +104,20 @@ SimResult gdp::simulateTrace(const Program &P, const ExecTrace &Trace,
   // --- Static precomputation: schedule every block once.
   std::vector<FuncDesc> Funcs(P.getNumFunctions());
   for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
-    const Function &Fn = P.getFunction(F);
-    OpIndex OI(Fn);
-    DefUse DU(Fn);
-    CFG Cfg(Fn);
-    LoopInfo LI(Fn, Cfg);
+    const FunctionAnalyses &FA = PA.function(F);
+    const LoopInfo &LI = FA.loops();
+    unsigned NumBlocks = FA.numBlocks();
     FuncDesc &FD = Funcs[F];
-    FD.Blocks.resize(Fn.getNumBlocks());
+    FD.Blocks.resize(NumBlocks);
     FD.LoopHoisted.assign(LI.getNumLoops(), 0);
     FD.InLoop.resize(LI.getNumLoops());
     for (unsigned L = 0; L != LI.getNumLoops(); ++L) {
-      FD.InLoop[L].assign(Fn.getNumBlocks(), false);
+      FD.InLoop[L].assign(NumBlocks, false);
       for (int B : LI.getLoop(L).Blocks)
         FD.InLoop[L][static_cast<unsigned>(B)] = true;
     }
-    for (unsigned B = 0; B != Fn.getNumBlocks(); ++B) {
-      BlockDFG DFG(Fn, Fn.getBlock(B), DU, OI, &LI);
+    for (unsigned B = 0; B != NumBlocks; ++B) {
+      const BlockDFG &DFG = FA.dfg(B);
       BlockSchedule BS = scheduleBlock(DFG, MM, CA.func(F));
       BlockDesc &BD = FD.Blocks[B];
       BD.Length = BS.Length;
@@ -176,8 +152,8 @@ SimResult gdp::simulateTrace(const Program &P, const ExecTrace &Trace,
   }
 
   // --- Dynamic replay.
-  BusQueue Bus(MM.getMoveBandwidth());
-  std::vector<MemPorts> Ports;
+  SlotQueue Bus(MM.getMoveBandwidth());
+  std::vector<SlotQueue> Ports;
   Ports.reserve(NumClusters);
   for (unsigned C = 0; C != NumClusters; ++C)
     Ports.emplace_back(MM.getFUCount(C, FUKind::Memory));
@@ -336,14 +312,20 @@ SimResult gdp::simulateTrace(const Program &P, const ExecTrace &Trace,
 SimResult gdp::simulateStrategy(const PreparedProgram &PP,
                                 const PipelineResult &R,
                                 const PipelineOptions &Opt) {
-  if (!PP.Trace) {
+  auto Usage = [](const char *Why) {
     SimResult S;
-    S.Error = "prepared program carries no execution trace; call "
-              "prepareProgram(P, MaxSteps, /*CaptureTrace=*/true)";
+    S.Error = Why;
     S.Diags.push_back(support::errorDiag(support::StatusCode::UsageError,
                                          "sim", S.Error));
     return S;
-  }
+  };
+  if (!PP.Analyses)
+    return Usage("prepared program carries no analyses; simulate only a "
+                 "successful prepareProgram");
+  if (!PP.Trace)
+    return Usage("prepared program carries no execution trace; call "
+                 "prepareProgram(P, MaxSteps, /*CaptureTrace=*/true)");
   MachineModel MM = machineFor(Opt);
-  return simulateTrace(*PP.P, *PP.Trace, MM, R.Assignment, R.Placement);
+  return simulateTrace(*PP.Analyses, *PP.Trace, MM, R.Assignment,
+                       R.Placement);
 }

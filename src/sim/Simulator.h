@@ -37,6 +37,7 @@
 #ifndef GDP_SIM_SIMULATOR_H
 #define GDP_SIM_SIMULATOR_H
 
+#include "sched/BlockDFG.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -49,7 +50,6 @@ class ClusterAssignment;
 class DataPlacement;
 struct ExecTrace;
 class MachineModel;
-class Program;
 struct PipelineOptions;
 struct PipelineResult;
 struct PreparedProgram;
@@ -86,16 +86,18 @@ struct SimResult {
 };
 
 /// Replays \p Trace (recorded by Interpreter::setTrace during profiling of
-/// \p P) against the schedules that \p CA and \p MM induce, with data
-/// homes from \p Placement. Emits sim.* telemetry when a session is
-/// installed. Deterministic: equal inputs give bit-identical results.
-SimResult simulateTrace(const Program &P, const ExecTrace &Trace,
+/// \p PA's program) against the schedules that \p CA and \p MM induce
+/// over \p PA's region DFGs, with data homes from \p Placement. Emits
+/// sim.* telemetry when a session is installed. Deterministic: equal
+/// inputs give bit-identical results.
+SimResult simulateTrace(const ProgramAnalyses &PA, const ExecTrace &Trace,
                         const MachineModel &MM, const ClusterAssignment &CA,
                         const DataPlacement &Placement);
 
 /// Convenience wrapper: simulates an evaluated strategy \p R on a program
 /// prepared with trace capture (prepareProgram(..., /*CaptureTrace=*/true)).
-/// Fails with an explanatory error if \p PP holds no trace.
+/// Fails with a UsageError if \p PP holds no analyses (its preparation
+/// failed) or no trace.
 SimResult simulateStrategy(const PreparedProgram &PP,
                            const PipelineResult &R,
                            const PipelineOptions &Opt);

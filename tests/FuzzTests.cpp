@@ -107,7 +107,7 @@ TEST_P(SchedFuzzTest, RandomAssignmentsKeepSchedulerInvariants) {
       A = static_cast<int>(RNG.nextBelow(MM.getNumClusters()));
 
     for (unsigned Bk = 0; Bk != F->getNumBlocks(); ++Bk) {
-      BlockDFG DFG(*F, F->getBlock(Bk), DU, OI, &LI);
+      BlockDFG DFG(F->getBlock(Bk), DU, OI, &LI);
       BlockSchedule BS = scheduleBlock(DFG, MM, Assign);
       ScheduleEstimator Est(DFG, MM);
 

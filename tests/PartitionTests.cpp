@@ -499,7 +499,7 @@ TEST(DotExportTest, RegionDotColorsClusters) {
   const Function &F = P->getEntry();
   OpIndex OI(F);
   DefUse DU(F);
-  BlockDFG DFG(F, F.getBlock(2), DU, OI); // Loop body.
+  BlockDFG DFG(F.getBlock(2), DU, OI); // Loop body.
   std::vector<int> Assign(F.getNumOpIds(), 0);
   for (unsigned I = 0; I < F.getNumOpIds(); I += 2)
     Assign[I] = 1;

@@ -9,6 +9,12 @@
 // assignment and the record's telemetry counters), in any evaluation order
 // and under concurrent evaluation.
 //
+// The preparation also carries one analysis bundle (CFG, loops, region
+// DFGs) that RHOP, the scheduler and the simulator read instead of
+// rebuilding it. The last tests pin that reading the shared bundle gives
+// exactly what a bundle built for one call from the Program gives, that
+// copies share it, and that a failed preparation has none.
+//
 //===----------------------------------------------------------------------===//
 
 #include "GenTestUtil.h"
@@ -16,7 +22,10 @@
 #include "bench/BenchCommon.h"
 #include "gen/Generator.h"
 #include "partition/Pipeline.h"
+#include "partition/PreparedCache.h"
 #include "partition/UnlockedRHOP.h"
+#include "sched/ListScheduler.h"
+#include "sim/Simulator.h"
 #include "support/StrUtil.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -65,6 +74,17 @@ struct Cell {
   unsigned Clusters;
 };
 
+/// Every operation's cluster, function by function.
+std::string assignmentText(const Program &P, const ClusterAssignment &CA) {
+  std::string Out;
+  for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
+    for (int Cl : CA.func(F))
+      Out += static_cast<char>('0' + Cl);
+    Out += "|";
+  }
+  return Out;
+}
+
 /// Everything observable about one evaluation: the deterministic bench
 /// record (cycles, moves, RHOP runs, every telemetry counter) followed by
 /// the data placement and the full operation assignment.
@@ -86,12 +106,7 @@ std::string observe(const std::string &Name, const PreparedProgram &PP,
   Out += formatStr(" clusters=%u homes=", C.Clusters);
   for (unsigned O = 0; O != R.Placement.getNumObjects(); ++O)
     Out += std::to_string(R.Placement.getHome(O)) + ",";
-  Out += " ops=";
-  for (unsigned F = 0; F != PP.P->getNumFunctions(); ++F) {
-    for (int Cl : R.Assignment.func(F))
-      Out += static_cast<char>('0' + Cl);
-    Out += "|";
-  }
+  Out += " ops=" + assignmentText(*PP.P, R.Assignment);
   return Out;
 }
 
@@ -101,11 +116,11 @@ struct Prepared {
   PreparedProgram PP;
 };
 
-Prepared prepare(const Source &S) {
+Prepared prepare(const Source &S, bool CaptureTrace = false) {
   Prepared Out;
   Out.P = S.Build();
   if (Out.P)
-    Out.PP = prepareProgram(*Out.P, 200000000ULL, /*CaptureTrace=*/false);
+    Out.PP = prepareProgram(*Out.P, 200000000ULL, CaptureTrace);
   return Out;
 }
 
@@ -278,4 +293,122 @@ TEST(RHOPSharing, SlotTelemetryReachesEveryCaller) {
     EXPECT_EQ(S.stats().getCounter("test.runs"), 1u);
   }
   EXPECT_EQ(Runs, 1);
+}
+
+//===----------------------------------------------------------------------===//
+// The shared analysis bundle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string scheduleText(const ProgramSchedule &PS) {
+  std::string Out = formatStr("cycles=%llu dyn=%llu static=%llu lengths=",
+                              static_cast<unsigned long long>(PS.TotalCycles),
+                              static_cast<unsigned long long>(PS.DynamicMoves),
+                              static_cast<unsigned long long>(PS.StaticMoves));
+  for (const std::vector<unsigned> &Lengths : PS.BlockLengths) {
+    for (unsigned L : Lengths)
+      Out += std::to_string(L) + ",";
+    Out += "|";
+  }
+  return Out;
+}
+
+std::string simText(const SimResult &S) {
+  std::string Out = formatStr(
+      "ok=%d cycles=%llu execs=%llu bus=%llu hoisted=%llu local=%llu "
+      "remote=%llu stalls=%llu/%llu/%llu util=",
+      S.Ok, static_cast<unsigned long long>(S.Cycles),
+      static_cast<unsigned long long>(S.BlockExecs),
+      static_cast<unsigned long long>(S.BusTransfers),
+      static_cast<unsigned long long>(S.HoistedTransfers),
+      static_cast<unsigned long long>(S.LocalAccesses),
+      static_cast<unsigned long long>(S.RemoteAccesses),
+      static_cast<unsigned long long>(S.BusContentionStallCycles),
+      static_cast<unsigned long long>(S.MoveLatencyStallCycles),
+      static_cast<unsigned long long>(S.MemPortStallCycles));
+  for (double U : S.ClusterUtilization)
+    Out += formatStr("%.17g,", U);
+  return Out;
+}
+
+} // namespace
+
+TEST(RHOPSharing, SharedAnalysesEqualPerCallAnalyses) {
+  // RHOP (unlocked and locked), the program schedule and the trace
+  // simulation, each through the preparation's bundle and through a
+  // Program (which builds a bundle for that one call), must agree.
+  for (const Source &S : sources()) {
+    Prepared Pr = prepare(S, /*CaptureTrace=*/true);
+    ASSERT_TRUE(Pr.PP.Ok) << S.Name << ": " << Pr.PP.Error;
+    const PreparedProgram &PP = Pr.PP;
+    const ProgramAnalyses &Shared = *PP.Analyses;
+    const Program &P = *Pr.P;
+    for (unsigned Clusters : {2u, 4u}) {
+      // Locks from GDP's placement for this cluster count.
+      PipelineOptions Opt;
+      Opt.NumClusters = Clusters;
+      PipelineResult G = runStrategy(PP, Opt);
+      ASSERT_TRUE(G.ok()) << S.Name;
+      LockMap Locks = buildLockMap(P, G.Placement, PP.Prof);
+      for (unsigned Lat : {1u, 5u, 10u}) {
+        SCOPED_TRACE(formatStr("%s, %u clusters, lat%u", S.Name.c_str(),
+                               Clusters, Lat));
+        MachineModel MM = MachineModel::makeDefault(Clusters, Lat);
+        ClusterAssignment Free = runRHOP(Shared, PP.Prof, MM, nullptr);
+        EXPECT_EQ(assignmentText(P, Free),
+                  assignmentText(P, runRHOP(P, PP.Prof, MM, nullptr)));
+        ClusterAssignment Locked = runRHOP(Shared, PP.Prof, MM, &Locks);
+        EXPECT_EQ(assignmentText(P, Locked),
+                  assignmentText(P, runRHOP(P, PP.Prof, MM, &Locks)));
+
+        EXPECT_EQ(scheduleText(scheduleProgram(Shared, PP.Prof, MM, Locked)),
+                  scheduleText(scheduleProgram(P, PP.Prof, MM, Locked)));
+        SimResult Sim =
+            simulateTrace(Shared, *PP.Trace, MM, Locked, G.Placement);
+        EXPECT_TRUE(Sim.Ok) << Sim.Error;
+        EXPECT_EQ(simText(Sim), simText(simulateTrace(P, *PP.Trace, MM,
+                                                      Locked, G.Placement)));
+      }
+    }
+  }
+}
+
+TEST(RHOPSharing, CopiesAndCacheEntriesShareOneAnalysesBundle) {
+  Source Fir{"fir", [] { return buildWorkload("fir"); }};
+  Prepared Pr = prepare(Fir);
+  ASSERT_TRUE(Pr.PP.Ok) << Pr.PP.Error;
+  ASSERT_NE(Pr.PP.Analyses, nullptr);
+  EXPECT_EQ(&Pr.PP.Analyses->program(), Pr.P.get());
+  PreparedProgram Copy = Pr.PP;
+  EXPECT_EQ(Copy.Analyses.get(), Pr.PP.Analyses.get());
+
+  PreparedProgramCache Cache;
+  auto Build = [](std::vector<support::Diag> &) {
+    return buildWorkload("fir");
+  };
+  auto First = Cache.get("fir", 200000000ULL, false, Build);
+  auto Second = Cache.get("fir", 200000000ULL, false, Build);
+  ASSERT_TRUE(First->PP.Ok);
+  ASSERT_NE(First->PP.Analyses, nullptr);
+  EXPECT_EQ(&First->PP.Analyses->program(), First->Prog.get());
+  EXPECT_EQ(Second->PP.Analyses.get(), First->PP.Analyses.get());
+}
+
+TEST(RHOPSharing, FailedPreparationHasNoAnalysesAndCannotBeSimulated) {
+  // A step limit fails the profiling run after the trace was attached.
+  std::unique_ptr<Program> P = buildWorkload("fir");
+  PreparedProgram PP = prepareProgram(*P, /*MaxSteps=*/10,
+                                      /*CaptureTrace=*/true);
+  ASSERT_FALSE(PP.Ok);
+  ASSERT_NE(PP.Trace, nullptr);
+  EXPECT_EQ(PP.Analyses, nullptr);
+
+  PipelineOptions Opt;
+  EXPECT_TRUE(runStrategy(PP, Opt).Failed);
+  SimResult S = simulateStrategy(PP, PipelineResult(), Opt);
+  EXPECT_FALSE(S.Ok);
+  ASSERT_NE(support::firstError(S.Diags), nullptr);
+  EXPECT_EQ(support::firstError(S.Diags)->Code,
+            support::StatusCode::UsageError);
 }

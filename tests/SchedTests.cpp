@@ -37,7 +37,7 @@ struct Region {
     DU = std::make_unique<DefUse>(*F);
     Cfg = std::make_unique<CFG>(*F);
     LI = std::make_unique<LoopInfo>(*F, *Cfg);
-    DFG = std::make_unique<BlockDFG>(*F, F->getBlock(BlockId), *DU, *OI,
+    DFG = std::make_unique<BlockDFG>(F->getBlock(BlockId), *DU, *OI,
                                      LI.get());
   }
 
@@ -427,7 +427,7 @@ TEST(EstimatorTest, LowerBoundsRealScheduleAcrossSuite) {
         CFG Cfg(*F);
         LoopInfo LI(*F, Cfg);
         for (unsigned Bk = 0; Bk != F->getNumBlocks(); ++Bk) {
-          BlockDFG DFG(*F, F->getBlock(Bk), DU, OI, &LI);
+          BlockDFG DFG(F->getBlock(Bk), DU, OI, &LI);
           BlockSchedule BS = scheduleBlock(
               DFG, MM, Res.Assignment.func(static_cast<unsigned>(F->getId())));
           ScheduleEstimator Est(DFG, MM);

@@ -21,10 +21,6 @@
 #include "gen/Generator.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
-#include "analysis/CFG.h"
-#include "analysis/DefUse.h"
-#include "analysis/LoopInfo.h"
-#include "analysis/OpIndex.h"
 #include "opt/Transforms.h"
 #include "partition/AccessMerge.h"
 #include "partition/DotExport.h"
@@ -33,7 +29,6 @@
 #include "partition/PreparedCache.h"
 #include "partition/ProgramGraph.h"
 #include "profile/ExecTrace.h"
-#include "sched/BlockDFG.h"
 #include "sched/ListScheduler.h"
 #include "sched/SchedulePrinter.h"
 #include "serve/Client.h"
@@ -797,7 +792,8 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
                 formatDouble(DP + RH + SC, 2)});
     }
     Out += T.render(Markdown);
-    Out += formatStr("%sshared preparation (verify+points-to+profile): "
+    Out += formatStr("%sshared preparation (verify+points-to+profile+"
+                     "CFG/loops/def-use/region DFGs): "
                      "%.2f ms\n",
                      Markdown ? "\n" : "", PP.PrepareSeconds * 1e3);
   }
@@ -940,7 +936,8 @@ int cmdSchedule(const std::string &Spec, const std::string &StrategyArg,
   // Find the hottest block (largest cycle contribution).
   unsigned BestF = 0, BestB = 0;
   uint64_t BestContrib = 0;
-  ProgramSchedule PS = scheduleProgram(P, PP.Prof, MM, R.Assignment);
+  ProgramSchedule PS =
+      scheduleProgram(*PP.Analyses, PP.Prof, MM, R.Assignment);
   for (unsigned F = 0; F != P.getNumFunctions(); ++F)
     for (unsigned Bk = 0; Bk != P.getFunction(F).getNumBlocks(); ++Bk) {
       uint64_t Contrib = static_cast<uint64_t>(PS.BlockLengths[F][Bk]) *
@@ -953,11 +950,7 @@ int cmdSchedule(const std::string &Spec, const std::string &StrategyArg,
     }
 
   const Function &Fn = P.getFunction(BestF);
-  OpIndex OI(Fn);
-  DefUse DU(Fn);
-  CFG Cfg(Fn);
-  LoopInfo LI(Fn, Cfg);
-  BlockDFG DFG(Fn, Fn.getBlock(BestB), DU, OI, &LI);
+  const BlockDFG &DFG = PP.Analyses->function(BestF).dfg(BestB);
   BlockSchedule BS = scheduleBlock(DFG, MM, R.Assignment.func(BestF));
   std::printf("hottest region: %s/bb%u (%s), executed %llu times under %s\n\n",
               Fn.getName().c_str(), BestB,
