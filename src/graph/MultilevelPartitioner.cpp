@@ -30,6 +30,15 @@ double GraphPartition::maxNormalizedLoad(
 
 namespace {
 
+/// Allowed imbalance of a constraint the caller gave no tolerance for.
+constexpr double DefaultTolerance = 0.15;
+/// Coarsening stops when at most this many nodes remain.
+constexpr unsigned CoarsenTargetNodes = 48;
+/// Refinement passes per level.
+constexpr unsigned MaxRefinePasses = 6;
+/// Independent initial partitions tried at the coarsest level.
+constexpr unsigned NumInitialTries = 4;
+
 /// Per-part, per-constraint capacity table.
 using CapacityTable = std::vector<std::vector<uint64_t>>;
 
@@ -69,8 +78,7 @@ struct Context {
   const GraphPartitionOptions &Opt;
 
   double tolerance(unsigned C) const {
-    return C < Opt.Tolerances.size() ? Opt.Tolerances[C]
-                                     : Opt.DefaultTolerance;
+    return C < Opt.Tolerances.size() ? Opt.Tolerances[C] : DefaultTolerance;
   }
 
   /// Fraction of the total weight part \p P may hold (uniform when no
@@ -314,7 +322,7 @@ void repairBalance(const CSRGraph &G, std::vector<unsigned> &Assign,
 /// bounds the pass at one move per node.
 unsigned refinePass(const CSRGraph &G, std::vector<unsigned> &Assign,
                     RefineContext &RC, const CapacityTable &MaxAllowed,
-                    const GraphPartitionOptions &Opt, uint64_t MoveCap) {
+                    const GraphPartitionOptions &Opt) {
   unsigned NumParts = Opt.NumParts;
   unsigned N = G.getNumNodes();
   unsigned NumC = G.getNumConstraints();
@@ -375,8 +383,6 @@ unsigned refinePass(const CSRGraph &G, std::vector<unsigned> &Assign,
 
   unsigned Moved = 0;
   while (!Bucket.empty()) {
-    if (Moved >= MoveCap)
-      break; // Per-level move budget spent; keep what we have.
     GainBucket::Entry E = Bucket.top();
     int64_t Gain;
     unsigned Part;
@@ -532,20 +538,13 @@ void refine(const CSRGraph &G, std::vector<unsigned> &Assign,
       RC.Ideal[C] =
           static_cast<double>(Totals[C]) / static_cast<double>(Opt.NumParts);
   repairBalance(G, Assign, RC, MaxAllowed, Opt, RNG, RS);
-  // Per-level accepted-move budget (0 = unlimited): bounds refinement work
-  // deterministically — the cap trips after the same move sequence no
-  // matter the thread count, unlike a wall-clock check would.
-  uint64_t MovesLeft = Opt.MaxRefineMoves
-                           ? Opt.MaxRefineMoves
-                           : std::numeric_limits<uint64_t>::max();
-  for (unsigned Pass = 0; Pass != Opt.MaxRefinePasses; ++Pass) {
-    unsigned Moved = refinePass(G, Assign, RC, MaxAllowed, Opt, MovesLeft);
-    MovesLeft -= Moved;
-    unsigned Swapped = MovesLeft ? swapPass(G, Assign, RC, MaxAllowed) : 0;
+  for (unsigned Pass = 0; Pass != MaxRefinePasses; ++Pass) {
+    unsigned Moved = refinePass(G, Assign, RC, MaxAllowed, Opt);
+    unsigned Swapped = swapPass(G, Assign, RC, MaxAllowed);
     ++RS.RefinePasses;
     RS.RefineMoves += Moved;
     RS.SwapMoves += Swapped;
-    if ((!Moved && !Swapped) || !MovesLeft)
+    if (!Moved && !Swapped)
       break;
   }
 }
@@ -719,7 +718,7 @@ GraphPartition gdp::partitionGraph(const PartitionGraph &G,
 
   // --- Coarsening phase.
   std::vector<std::vector<unsigned>> Mappings; // Mappings[i]: level i -> i+1
-  while (Levels.back().getNumNodes() > Opt.CoarsenTargetNodes) {
+  while (Levels.back().getNumNodes() > CoarsenTargetNodes) {
     std::vector<unsigned> FineToCoarse;
     unsigned NumCoarse = coarsenMatch(Levels.back(), RNG, FineToCoarse, RC);
     // Stop if matching stalls (under 5% reduction) — decided before any
@@ -753,7 +752,7 @@ GraphPartition gdp::partitionGraph(const PartitionGraph &G,
       BestLoad = Load;
     }
   };
-  for (unsigned Try = 0; Try != std::max(1u, Opt.NumInitialTries); ++Try)
+  for (unsigned Try = 0; Try != NumInitialTries; ++Try)
     Consider(initialAssign(Coarsest, Opt, Ctx, RC, RNG));
   if (Opt.NumParts == 2 && Coarsest.getNumNodes() > 1) {
     auto MaxAllowed = Ctx.maxAllowed(Coarsest);

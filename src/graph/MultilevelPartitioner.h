@@ -30,21 +30,10 @@ struct GraphPartitionOptions {
   unsigned NumParts = 2;
   /// Allowed per-constraint imbalance: part load may reach
   /// (1 + Tolerance[c]) * total[c] / NumParts. Constraints beyond the
-  /// vector's size use DefaultTolerance.
+  /// vector's size allow 0.15.
   std::vector<double> Tolerances;
-  double DefaultTolerance = 0.15;
   /// RNG seed; the whole run is deterministic given the seed.
   uint64_t Seed = 1;
-  /// Stop coarsening when at most this many nodes remain.
-  unsigned CoarsenTargetNodes = 48;
-  /// Refinement passes per level.
-  unsigned MaxRefinePasses = 6;
-  /// Cap on accepted refinement moves per uncoarsening level (0 =
-  /// unlimited). A budget knob: refinement stops early once the cap is
-  /// reached, keeping whatever improvement it already found.
-  uint64_t MaxRefineMoves = 0;
-  /// Independent initial partitions tried at the coarsest level.
-  unsigned NumInitialTries = 4;
   /// Optional relative capacity per part (e.g. {2, 1, 1, 1} gives part 0
   /// twice the capacity of the others). Empty = uniform. Entries beyond
   /// the vector default to 1.

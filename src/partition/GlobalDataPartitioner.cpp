@@ -5,6 +5,7 @@
 #include "graph/MultilevelPartitioner.h"
 #include "ir/Program.h"
 #include "profile/ProfileData.h"
+#include "sched/BlockDFG.h"
 #include "support/FaultInjector.h"
 #include "support/Telemetry.h"
 
@@ -12,10 +13,16 @@
 
 using namespace gdp;
 
-GDPResult gdp::runGlobalDataPartitioning(const Program &P,
+/// Allowed imbalance of the secondary (operation count) constraint. The
+/// paper balances only data sizes in this pass (operations are re-placed
+/// by the second pass anyway), so it is effectively unconstrained.
+constexpr double OpBalanceTolerance = 8.0;
+
+GDPResult gdp::runGlobalDataPartitioning(const ProgramAnalyses &PA,
                                          const ProfileData &Prof,
                                          unsigned NumClusters,
                                          const GDPOptions &Opt) {
+  const Program &P = PA.program();
   if (support::faultAt("graph.coarsen")) {
     GDPResult Result;
     Result.Feasible = false;
@@ -24,7 +31,7 @@ GDPResult gdp::runGlobalDataPartitioning(const Program &P,
     return Result;
   }
 
-  ProgramGraph PG(P, Prof);
+  ProgramGraph PG(PA, Prof);
   AccessMerge Merge(PG, P, Opt.Policy);
 
   // --- One partition-graph node per merged group; weights are
@@ -95,9 +102,7 @@ GDPResult gdp::runGlobalDataPartitioning(const Program &P,
   // --- Cut with the multilevel partitioner.
   GraphPartitionOptions GOpt;
   GOpt.NumParts = NumClusters;
-  GOpt.Tolerances = {MemTol, Opt.OpBalanceTolerance};
-  GOpt.Seed = Opt.Seed;
-  GOpt.MaxRefineMoves = Opt.MaxRefineMoves;
+  GOpt.Tolerances = {MemTol, OpBalanceTolerance};
   GOpt.PartCapacityShares = Opt.ClusterCapacityShares;
   GraphPartition Part = partitionGraph(G, GOpt);
 

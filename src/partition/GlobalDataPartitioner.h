@@ -27,7 +27,7 @@
 namespace gdp {
 
 class ProfileData;
-class Program;
+class ProgramAnalyses;
 
 /// Tuning knobs for the data-partitioning pass.
 struct GDPOptions {
@@ -42,17 +42,7 @@ struct GDPOptions {
   /// unknown: MemBalanceTolerance is applied as-is (pure relative
   /// balance; the historic behaviour and what abl_balance sweeps).
   uint64_t MemCapacityBytes = 0;
-  /// Allowed imbalance of the secondary (operation count) constraint.
-  /// The paper balances only data sizes in this pass (operations are
-  /// re-placed by the second pass anyway), so this defaults to effectively
-  /// unconstrained; the ablation benchmark tightens it.
-  double OpBalanceTolerance = 8.0;
   MergePolicy Policy = MergePolicy::AccessPattern;
-  uint64_t Seed = 1;
-  /// Cap on refinement moves per uncoarsening level handed to the graph
-  /// partitioner (0 = unlimited). The pipeline sets this from its budget
-  /// so a pathological refinement cannot blow the wall-clock limit.
-  uint64_t MaxRefineMoves = 0;
   /// Relative memory capacity per cluster for heterogeneous machines
   /// (empty = uniform). The pipeline fills this from the machine's
   /// per-cluster memory-unit counts.
@@ -76,10 +66,11 @@ struct GDPResult {
   std::vector<support::Diag> Diags;
 };
 
-/// Runs the first pass on \p P (which must already carry memory access
-/// annotations) using \p Prof for edge weights, heap sizes and access
-/// counts.
-GDPResult runGlobalDataPartitioning(const Program &P, const ProfileData &Prof,
+/// Runs the first pass on \p PA's program (which must already carry memory
+/// access annotations) using \p Prof for edge weights, heap sizes and
+/// access counts.
+GDPResult runGlobalDataPartitioning(const ProgramAnalyses &PA,
+                                    const ProfileData &Prof,
                                     unsigned NumClusters,
                                     const GDPOptions &Opt = GDPOptions());
 

@@ -205,7 +205,7 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
     }
     if (DataOpt.MemCapacityBytes == 0)
       DataOpt.MemCapacityBytes = MM.getClusterMemoryBytes();
-    GDPResult D = runGlobalDataPartitioning(*PP.P, PP.Prof,
+    GDPResult D = runGlobalDataPartitioning(*PP.Analyses, PP.Prof,
                                             MM.getNumClusters(), DataOpt);
     for (support::Diag &Dg : D.Diags)
       R.Diags.push_back(std::move(Dg));
@@ -220,8 +220,8 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
               .with("mem_tolerance", Relaxed.MemBalanceTolerance));
       telemetry::counter("pipeline.relaxed_retries");
       DegradedOut = true;
-      D = runGlobalDataPartitioning(*PP.P, PP.Prof, MM.getNumClusters(),
-                                    Relaxed);
+      D = runGlobalDataPartitioning(*PP.Analyses, PP.Prof,
+                                    MM.getNumClusters(), Relaxed);
       for (support::Diag &Dg : D.Diags)
         R.Diags.push_back(std::move(Dg));
       if (!D.Feasible) {
@@ -261,7 +261,7 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
   // Objects are grouped exactly as in GDP's coarsening (paper §4.1: "the
   // program-level graph of the application is created and coarsened as
   // before, so objects are grouped together the same").
-  ProgramGraph PG(P, PP.Prof);
+  ProgramGraph PG(*PP.Analyses, PP.Prof);
   AccessMerge Merge(PG, P, Opt.DataOpt.Policy);
   auto Classes = Merge.objectClasses();
   auto Counts =

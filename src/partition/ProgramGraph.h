@@ -10,7 +10,8 @@
 /// (weighted by profile frequency — the expected communication volume if
 /// the edge were cut), plus call-boundary edges binding call sites to
 /// callee parameter uses and return values. Memory nodes carry the ids of
-/// the data objects they may access.
+/// the data objects they may access. The flow and parameter-use edges come
+/// from the def-use pairs the analysis bundle recorded (sched/BlockDFG.h).
 ///
 /// "This graph is created to generally model the computation patterns that
 ///  need to be mapped to clusters. The only information recorded about the
@@ -28,12 +29,12 @@ namespace gdp {
 
 class Operation;
 class ProfileData;
-class Program;
+class ProgramAnalyses;
 
 /// Whole-program operation graph for the first-pass data partitioner.
 class ProgramGraph {
 public:
-  ProgramGraph(const Program &P, const ProfileData &Prof);
+  ProgramGraph(const ProgramAnalyses &PA, const ProfileData &Prof);
 
   unsigned getNumNodes() const { return static_cast<unsigned>(Ops.size()); }
 

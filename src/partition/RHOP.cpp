@@ -132,7 +132,7 @@ std::vector<uint64_t> computeSlackWeights(const BlockDFG &DFG,
 }
 
 void buildPlan(RegionPlan &Plan, const BlockDFG &DFG, const MachineModel &MM,
-               const std::vector<int> *Locks, const RHOPOptions &Opt) {
+               const std::vector<int> *Locks) {
   unsigned N = DFG.size();
   Plan.OpIds.resize(N);
   Plan.LockOf.assign(N, -1);
@@ -165,7 +165,7 @@ void buildPlan(RegionPlan &Plan, const BlockDFG &DFG, const MachineModel &MM,
   GroupOfLevel.push_back(Current);
   NumGroupsAt.push_back(NumGroups);
 
-  unsigned Target = std::max(Opt.MinGroups, 2 * MM.getNumClusters());
+  unsigned Target = std::max(4u, 2 * MM.getNumClusters());
 
   // Per-stage buffers, reused (capacity survives clear()).
   std::vector<std::pair<uint64_t, uint64_t>> GroupEdges; // (A<<32|B, weight)
@@ -306,8 +306,7 @@ void buildPlan(RegionPlan &Plan, const BlockDFG &DFG, const MachineModel &MM,
 
 void refineLevel(const RegionPlan &Plan, unsigned Level,
                  std::vector<int> &Assign, const MachineModel &MM,
-                 const RHOPOptions &Opt, Random &RNG, RhopStats &RS,
-                 RhopScratch &Scratch) {
+                 Random &RNG, RhopStats &RS, RhopScratch &Scratch) {
   const ScheduleEstimator &Est = *Plan.Est;
   unsigned NumClusters = MM.getNumClusters();
   unsigned GBase = Plan.LevelGroupOff[Level];
@@ -354,7 +353,7 @@ void refineLevel(const RegionPlan &Plan, unsigned Level,
 
   // Persistent, deterministically shuffled visit order.
   auto &Order = Scratch.Order;
-  for (unsigned Pass = 0; Pass != Opt.MaxRefinePasses; ++Pass) {
+  for (unsigned Pass = 0; Pass != 4; ++Pass) {
     bool Moved = false;
     Order.resize(NumGroups);
     for (unsigned G = 0; G != NumGroups; ++G)
@@ -399,13 +398,12 @@ void refineLevel(const RegionPlan &Plan, unsigned Level,
 /// cached hierarchy from the top, refining at every level.
 void runRegion(const BlockDFG &DFG, RegionPlan &Plan, const MachineModel &MM,
                const std::vector<int> *Locks, std::vector<int> &Assign,
-               const RHOPOptions &Opt, Random &RNG, RhopStats &RS,
-               RhopScratch &Scratch) {
+               Random &RNG, RhopStats &RS, RhopScratch &Scratch) {
   unsigned N = DFG.size();
   if (N == 0)
     return;
   if (!Plan.Built)
-    buildPlan(Plan, DFG, MM, Locks, Opt);
+    buildPlan(Plan, DFG, MM, Locks);
   ++RS.Regions;
 
   // Apply locks up front; locked operations never move.
@@ -436,7 +434,7 @@ void runRegion(const BlockDFG &DFG, RegionPlan &Plan, const MachineModel &MM,
           Assign[Plan.OpIds[Local]] = Cluster;
       }
     }
-    refineLevel(Plan, Level, Assign, MM, Opt, RNG, RS, Scratch);
+    refineLevel(Plan, Level, Assign, MM, RNG, RS, Scratch);
   }
 }
 
@@ -470,12 +468,13 @@ ClusterAssignment gdp::runRHOP(const ProgramAnalyses &PA,
     for (unsigned B = 0; B != FA.numBlocks(); ++B)
       Plans.emplace_back(A);
 
-    for (unsigned Pass = 0; Pass != std::max(1u, Opt.NumFunctionPasses);
-         ++Pass)
+    // Two sweeps over the regions: the second lets cross-block producer
+    // placements settle.
+    for (unsigned Pass = 0; Pass != 2; ++Pass)
       for (int B : FA.cfg().reversePostOrder()) {
         unsigned BI = static_cast<unsigned>(B);
-        runRegion(FA.dfg(BI), Plans[BI], MM, FuncLocks, CA.func(F), Opt, RNG,
-                  RS, Scratch);
+        runRegion(FA.dfg(BI), Plans[BI], MM, FuncLocks, CA.func(F), RNG, RS,
+                  Scratch);
       }
   }
 

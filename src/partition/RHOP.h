@@ -41,13 +41,6 @@ class ProfileData;
 
 /// Tuning knobs for the RHOP pass.
 struct RHOPOptions {
-  /// Sweeps over each function's regions; a second sweep lets cross-block
-  /// producer placements settle.
-  unsigned NumFunctionPasses = 2;
-  /// Refinement passes per coarsening level.
-  unsigned MaxRefinePasses = 4;
-  /// Coarsening stops at max(MinGroups, 2 × clusters) groups.
-  unsigned MinGroups = 4;
   uint64_t Seed = 1;
 
   bool operator==(const RHOPOptions &O) const = default;

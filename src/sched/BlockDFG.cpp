@@ -147,6 +147,22 @@ FunctionAnalyses::FunctionAnalyses(const Function &F)
   DFGs.reserve(F.getNumBlocks());
   for (unsigned B = 0; B != F.getNumBlocks(); ++B)
     DFGs.emplace_back(F.getBlock(B), DU, OI, &Loops);
+
+  for (const auto &BB : F.blocks())
+    for (const auto &Op : BB->operations()) {
+      unsigned UseId = static_cast<unsigned>(Op->getId());
+      for (unsigned S = 0, E = Op->getNumSrcs(); S != E; ++S)
+        for (unsigned DefIdx : DU.defsForUse(UseId, S)) {
+          const DefUse::DefSite &Def = DU.getDef(DefIdx);
+          if (!Def.isParam())
+            Flows.push_back({static_cast<unsigned>(Def.OpId), UseId});
+        }
+    }
+  Flows.shrink_to_fit(); // Bundles stay resident in the warm cache.
+  ParamUses.resize(F.getNumParams());
+  for (unsigned Param = 0; Param != F.getNumParams(); ++Param)
+    for (const DefUse::UseSite &Use : DU.usesOfParam(Param))
+      ParamUses[Param].push_back(static_cast<unsigned>(Use.OpId));
 }
 
 ProgramAnalyses::ProgramAnalyses(const Program &P) : P(&P) {

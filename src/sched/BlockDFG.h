@@ -13,8 +13,9 @@
 /// so the scheduler can charge intercluster moves when the producer lives
 /// on a different cluster.
 ///
-/// ProgramAnalyses bundles, per function, the CFG, the loop nesting and
-/// every block's DFG. prepareProgram builds it once per prepared program;
+/// ProgramAnalyses bundles, per function, the CFG, the loop nesting, every
+/// block's DFG and the def-use pairs of the program-level graph.
+/// prepareProgram builds it once per prepared program; GDP's program graph,
 /// RHOP, the list scheduler and the simulator read that one bundle instead
 /// of rebuilding the analyses per call.
 ///
@@ -94,11 +95,18 @@ private:
 };
 
 /// The analyses of one function that outlive their construction: its CFG,
-/// its loop nesting, and one DFG per block (with hoistable live-ins
-/// marked). The def-use chains and operation index the DFGs are built
-/// from are dropped once they are.
+/// its loop nesting, one DFG per block (with hoistable live-ins marked),
+/// and the def-use pairs the program-level graph is built from. The
+/// def-use chains and operation index these are built from are dropped
+/// once they are.
 class FunctionAnalyses {
 public:
+  /// One register flow: an operation's definition reaching a use.
+  struct Flow {
+    unsigned DefOpId;
+    unsigned UseOpId;
+  };
+
   explicit FunctionAnalyses(const Function &F);
 
   unsigned numBlocks() const { return static_cast<unsigned>(DFGs.size()); }
@@ -106,10 +114,22 @@ public:
   const LoopInfo &loops() const { return Loops; }
   const BlockDFG &dfg(unsigned Block) const { return DFGs[Block]; }
 
+  /// Every (definition, use) pair of the def-use chains except parameter
+  /// definitions, in block, operation, source-operand and
+  /// reaching-definition order, duplicates kept.
+  const std::vector<Flow> &flows() const { return Flows; }
+  /// Operation ids of the uses parameter \p Param reaches, one per use
+  /// site.
+  const std::vector<unsigned> &paramUses(unsigned Param) const {
+    return ParamUses[Param];
+  }
+
 private:
   CFG Cfg;
   LoopInfo Loops;
   std::vector<BlockDFG> DFGs;
+  std::vector<Flow> Flows;
+  std::vector<std::vector<unsigned>> ParamUses;
 };
 
 /// FunctionAnalyses for every function of a program. Immutable once built,

@@ -119,13 +119,6 @@ PartitionOutcome Service::partition(const PartitionRequest &Req,
                               .with("strategy", Req.Strategy)});
     return Out;
   }
-  if (Req.InlineIR && !Opt.AllowInlineIR) {
-    Out.S = Status::BadRequest;
-    Out.Body = diagsBody({errorDiag(StatusCode::UsageError, "serve.request",
-                                    "inline IR requests are disabled on "
-                                    "this server")});
-    return Out;
-  }
 
   // The per-request telemetry shard: the prepared-program cache and the
   // pipeline record into it, and its counters attribute *this* request

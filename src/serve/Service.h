@@ -45,8 +45,6 @@ struct ServiceOptions {
   /// Zero wall-clock fields in response bodies — responses for the same
   /// request become byte-identical (the serving determinism contract).
   bool Deterministic = false;
-  /// Accept inline-IR requests (the coordinator forwards them verbatim).
-  bool AllowInlineIR = true;
 };
 
 /// Result of executing one partition request.

@@ -1,7 +1,6 @@
 //===- tests/AnalysisTests.cpp - Analysis unit tests --------------------------===//
 
 #include "analysis/CFG.h"
-#include "analysis/CallGraph.h"
 #include "analysis/DefUse.h"
 #include "analysis/LoopInfo.h"
 #include "analysis/OpIndex.h"
@@ -193,38 +192,6 @@ TEST(DefUseTest, UsesOfDefListsConsumers) {
   const Operation &Def = F->getEntryBlock().getOp(0);
   // add uses it twice (two operand slots), sub once.
   EXPECT_EQ(DU.usesOfDef(static_cast<unsigned>(Def.getId())).size(), 3u);
-}
-
-// --- CallGraph ------------------------------------------------------------------
-
-TEST(CallGraphTest, CalleesAndReachability) {
-  auto P = std::make_unique<Program>("t");
-  Function *Leaf = P->makeFunction("leaf", 0);
-  {
-    IRBuilder B(Leaf);
-    B.setInsertPoint(Leaf->makeBlock("entry"));
-    B.ret();
-  }
-  Function *Dead = P->makeFunction("dead", 0);
-  {
-    IRBuilder B(Dead);
-    B.setInsertPoint(Dead->makeBlock("entry"));
-    B.ret();
-  }
-  Function *Main = P->makeFunction("main", 0);
-  P->setEntry(Main->getId());
-  {
-    IRBuilder B(Main);
-    B.setInsertPoint(Main->makeBlock("entry"));
-    B.call(Leaf, {}, false);
-    B.call(Leaf, {}, false);
-    B.ret();
-  }
-  CallGraph CG(*P);
-  EXPECT_EQ(CG.callees(static_cast<unsigned>(Main->getId())).size(), 1u);
-  EXPECT_EQ(CG.callersOf(static_cast<unsigned>(Leaf->getId())).size(), 2u);
-  EXPECT_TRUE(CG.isReachable(static_cast<unsigned>(Leaf->getId())));
-  EXPECT_FALSE(CG.isReachable(static_cast<unsigned>(Dead->getId())));
 }
 
 // --- LoopInfo ---------------------------------------------------------------------
@@ -470,34 +437,4 @@ TEST(LoopInfoTest, SelfLoopAndIrreducibleShapesDoNotCrash) {
   ASSERT_EQ(LI.getNumLoops(), 1u);
   EXPECT_EQ(LI.getLoop(0).Header, Spin->getId());
   EXPECT_GE(LI.innermostLoopOf(static_cast<unsigned>(Spin->getId())), 0);
-}
-
-TEST(CallGraphTest, RecursionIsItsOwnCallerAndCallee) {
-  auto P = std::make_unique<Program>("t");
-  Function *Rec = P->makeFunction("rec", 1);
-  {
-    IRBuilder B(Rec);
-    BasicBlock *Entry = Rec->makeBlock("entry");
-    BasicBlock *Base = Rec->makeBlock("base");
-    BasicBlock *Step = Rec->makeBlock("step");
-    B.setInsertPoint(Entry);
-    int IsZero = B.cmpLE(0, B.movi(0));
-    B.brCond(IsZero, Base, Step);
-    B.setInsertPoint(Base);
-    B.ret(B.movi(1));
-    B.setInsertPoint(Step);
-    B.ret(B.call(Rec, {B.sub(0, B.movi(1))}));
-  }
-  Function *Main = P->makeFunction("main", 0);
-  P->setEntry(Main->getId());
-  {
-    IRBuilder B(Main);
-    B.setInsertPoint(Main->makeBlock("entry"));
-    B.ret(B.call(Rec, {B.movi(3)}));
-  }
-  CallGraph CG(*P);
-  auto Callees = CG.callees(static_cast<unsigned>(Rec->getId()));
-  EXPECT_TRUE(std::find(Callees.begin(), Callees.end(), Rec->getId()) !=
-              Callees.end());
-  EXPECT_TRUE(CG.isReachable(static_cast<unsigned>(Rec->getId())));
 }

@@ -6,7 +6,8 @@
 // query (definition table, reaching defs per use operand in order, uses
 // per definition and per parameter, def index per operation) must agree on
 // the suite, on the generated corpus (`GDP_GEN_SEEDS` widens it) and on
-// two scale-sized generated programs.
+// two scale-sized generated programs. So must the def-use pairs and
+// parameter uses the analysis bundle keeps for the program-level graph.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #include "analysis/DefUse.h"
 #include "gen/Generator.h"
 #include "ir/Function.h"
+#include "sched/BlockDFG.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -36,11 +38,15 @@ bool sameUses(const std::vector<DefUse::UseSite> &A,
   return true;
 }
 
-/// Empty when \p F's DefUse answers every query as the oracle does, else
-/// the first disagreement.
+/// Empty when \p F's DefUse and analysis bundle answer every query as the
+/// oracle does, else the first disagreement.
 std::string compareWithOracle(const Function &F) {
   DefUse DU(F);
   ReferenceDefUse Ref(F);
+  FunctionAnalyses FA(F);
+  // The bundle's (def, use) pairs: every non-parameter reaching def of
+  // every use operand, in order, duplicates kept.
+  std::vector<FunctionAnalyses::Flow> Flows;
   std::string Where = F.getName() + ": ";
   if (DU.getNumDefs() != Ref.getNumDefs())
     return Where + "definition counts differ";
@@ -54,16 +60,33 @@ std::string compareWithOracle(const Function &F) {
       std::string At = Where + "op " + std::to_string(Id) + ": ";
       if (DU.defIndexOfOp(Id) != Ref.defIndexOfOp(Id))
         return At + "def index differs";
-      for (unsigned S = 0; S != Op->getNumSrcs(); ++S)
+      for (unsigned S = 0; S != Op->getNumSrcs(); ++S) {
         if (DU.defsForUse(Id, S) != Ref.defsForUse(Id, S))
           return At + "reaching defs of operand " + std::to_string(S) +
                  " differ";
+        for (unsigned D : Ref.defsForUse(Id, S))
+          if (!Ref.getDef(D).isParam())
+            Flows.push_back({static_cast<unsigned>(Ref.getDef(D).OpId), Id});
+      }
       if (!sameUses(DU.usesOfDef(Id), Ref.usesOfDef(Id)))
         return At + "uses differ";
     }
-  for (unsigned P = 0; P != F.getNumParams(); ++P)
+  if (FA.flows().size() != Flows.size())
+    return Where + "def-use pair counts differ";
+  for (size_t I = 0; I != Flows.size(); ++I)
+    if (FA.flows()[I].DefOpId != Flows[I].DefOpId ||
+        FA.flows()[I].UseOpId != Flows[I].UseOpId)
+      return Where + "def-use pair " + std::to_string(I) + " differs";
+  for (unsigned P = 0; P != F.getNumParams(); ++P) {
     if (!sameUses(DU.usesOfParam(P), Ref.usesOfParam(P)))
       return Where + "uses of parameter " + std::to_string(P) + " differ";
+    std::vector<unsigned> UseOps;
+    for (const auto &Use : Ref.usesOfParam(P))
+      UseOps.push_back(static_cast<unsigned>(Use.OpId));
+    if (FA.paramUses(P) != UseOps)
+      return Where + "bundle's uses of parameter " + std::to_string(P) +
+             " differ";
+  }
   return "";
 }
 

@@ -899,9 +899,9 @@ int cmdDot(const std::string &Spec) {
   if (!PP.Ok)
     return reportPrepareFailure(PP);
   const Program &P = *C->Prog;
-  ProgramGraph PG(P, PP.Prof);
+  ProgramGraph PG(*PP.Analyses, PP.Prof);
   AccessMerge Merge(PG, P, MergePolicy::AccessPattern);
-  GDPResult D = runGlobalDataPartitioning(P, PP.Prof, 2);
+  GDPResult D = runGlobalDataPartitioning(*PP.Analyses, PP.Prof, 2);
   if (!D.Feasible) {
     reportDiags(D.Diags);
     std::fprintf(stderr, "error: GDP placement infeasible\n");
