@@ -364,14 +364,6 @@ PipelineResult gdp::bench::run(const SuiteEntry &Entry,
 
 std::vector<PipelineResult>
 gdp::bench::runMatrix(const std::vector<EvalTask> &Tasks) {
-  if (threads() <= 1) {
-    // Serial path: identical to the historical per-call behaviour.
-    std::vector<PipelineResult> Results;
-    Results.reserve(Tasks.size());
-    for (const EvalTask &T : Tasks)
-      Results.push_back(run(*T.Entry, T.Strategy, T.MoveLatency));
-    return Results;
-  }
   struct Evaluated {
     PipelineResult R;
     std::unique_ptr<telemetry::TelemetrySession> Session;

@@ -509,11 +509,10 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
       R.Failed = true;
       R.Diags.push_back(support::injectedFaultDiag("sched.estimate"));
     } else {
-      ProgramSchedule PS =
-          scheduleProgram(*PP.Analyses, PP.Prof, MM, R.Assignment);
-      R.Cycles = PS.TotalCycles;
-      R.DynamicMoves = PS.DynamicMoves;
-      R.StaticMoves = PS.StaticMoves;
+      R.Schedule = scheduleProgram(*PP.Analyses, PP.Prof, MM, R.Assignment);
+      R.Cycles = R.Schedule.TotalCycles;
+      R.DynamicMoves = R.Schedule.DynamicMoves;
+      R.StaticMoves = R.Schedule.StaticMoves;
     }
   }
   return R;

@@ -32,6 +32,7 @@
 #include "partition/RHOP.h"
 #include "profile/ProfileData.h"
 #include "sched/ClusterAssignment.h"
+#include "sched/ListScheduler.h"
 #include "support/Budget.h"
 #include "support/Status.h"
 
@@ -136,6 +137,10 @@ struct PipelineResult {
   uint64_t StaticMoves = 0;
   DataPlacement Placement; ///< All homes -1 under Unified.
   ClusterAssignment Assignment;
+  /// The final schedule of Assignment, block by block: the one schedule
+  /// Cycles and the moves were folded from, and the one the simulator
+  /// replays. Empty when Failed.
+  ProgramSchedule Schedule;
   double PartitionSeconds = 0; ///< Wall-clock spent partitioning.
   PhaseTimes Phases;           ///< Per-phase breakdown of the above.
   unsigned RHOPRuns = 0;       ///< Detailed-partitioner runs (§4.5).

@@ -73,13 +73,28 @@ std::shared_ptr<const CachedPreparation> PreparedProgramCache::get(
   if (telemetry::enabled())
     telemetry::counter("prepared_cache.misses");
 
-  auto Built = std::make_shared<CachedPreparation>();
-  Built->Prog = Build(Built->PP.Diags);
-  if (Built->Prog)
-    Built->PP = prepareProgram(*Built->Prog, MaxSteps, CaptureTrace);
-  else
-    Built->PP.Error = "workload build failed";
-  Promise.set_value(Built);
+  try {
+    auto Built = std::make_shared<CachedPreparation>();
+    Built->Prog = Build(Built->PP.Diags);
+    if (Built->Prog)
+      Built->PP = prepareProgram(*Built->Prog, MaxSteps, CaptureTrace);
+    else
+      Built->PP.Error = "workload build failed";
+    Promise.set_value(Built);
+  } catch (...) {
+    // A throw is not a deterministic outcome to cache: drop the entry so
+    // the next request builds again, and hand this one's waiters the
+    // exception.
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      auto It = Entries.find(Key);
+      if (It != Entries.end()) {
+        Lru.erase(It->second.LruIt);
+        Entries.erase(It);
+      }
+    }
+    Promise.set_exception(std::current_exception());
+  }
   return Mine.get();
 }
 

@@ -66,6 +66,9 @@ public:
   /// false) is cached too — it is deterministic. When \p Build returns
   /// null, the diagnostics it appended become the entry's PP.Diags, so
   /// every later hit reports them without loading the program again.
+  /// When \p Build or the preparation throws, this call and every waiter
+  /// on the key rethrow it, and the key is dropped so the next request
+  /// builds again.
   std::shared_ptr<const CachedPreparation>
   get(const std::string &Name, uint64_t MaxSteps, bool CaptureTrace,
       const std::function<std::unique_ptr<Program>(

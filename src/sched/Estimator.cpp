@@ -104,11 +104,6 @@ ScheduleEstimator::computeMoves(const std::vector<int> &ClusterOfOp) const {
 }
 
 unsigned
-ScheduleEstimator::countMoves(const std::vector<int> &ClusterOfOp) const {
-  return computeMoves(ClusterOfOp);
-}
-
-unsigned
 ScheduleEstimator::estimateWithMoves(const std::vector<int> &ClusterOfOp,
                                      unsigned &MovesOut) const {
   if (N == 0) {
@@ -163,10 +158,4 @@ ScheduleEstimator::estimateWithMoves(const std::vector<int> &ClusterOfOp,
   }
 
   return std::max({ResourceBound, BusBound, CP});
-}
-
-unsigned
-ScheduleEstimator::estimate(const std::vector<int> &ClusterOfOp) const {
-  unsigned Moves;
-  return estimateWithMoves(ClusterOfOp, Moves);
 }

@@ -52,17 +52,11 @@ public:
                     support::Arena *A = nullptr);
 
   /// Estimated schedule length of the region when operations are placed
-  /// according to \p ClusterOfOp (indexed by operation id).
-  unsigned estimate(const std::vector<int> &ClusterOfOp) const;
-
-  /// Number of distinct intercluster transfers the region needs under
-  /// \p ClusterOfOp (the bus-bound numerator; also the region's static
-  /// move count).
-  unsigned countMoves(const std::vector<int> &ClusterOfOp) const;
-
-  /// estimate() and countMoves() in one pass. The estimate already needs
-  /// the move count for its interconnect bound, so callers that want both
-  /// (RHOP's lexicographic score) avoid counting transfers twice.
+  /// according to \p ClusterOfOp (indexed by operation id). Sets
+  /// \p MovesOut to the number of distinct intercluster transfers the
+  /// region needs (the bus-bound numerator; also the region's static move
+  /// count): the estimate counts them anyway for its interconnect bound,
+  /// and RHOP's lexicographic score wants both.
   unsigned estimateWithMoves(const std::vector<int> &ClusterOfOp,
                              unsigned &MovesOut) const;
 

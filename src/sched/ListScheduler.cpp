@@ -204,6 +204,7 @@ BlockSchedule gdp::scheduleBlock(const BlockDFG &DFG, const MachineModel &MM,
     }
   }
   assert(Scheduled == N && "dependence cycle in block DFG");
+  std::sort(Result.MoveIssue.begin(), Result.MoveIssue.end());
   return Result;
 }
 
@@ -213,7 +214,7 @@ ProgramSchedule gdp::scheduleProgram(const ProgramAnalyses &PA,
                                      const ClusterAssignment &CA) {
   const Program &P = PA.program();
   ProgramSchedule Result;
-  Result.BlockLengths.resize(P.getNumFunctions());
+  Result.Blocks.resize(P.getNumFunctions());
 
   // Issue slots per cycle across the whole machine (FU kinds 0..3; the
   // interconnect is accounted separately as moves).
@@ -227,11 +228,11 @@ ProgramSchedule gdp::scheduleProgram(const ProgramAnalyses &PA,
   uint64_t Blocks = 0, Ops = 0;
   for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
     const FunctionAnalyses &FA = PA.function(F);
-    Result.BlockLengths[F].resize(FA.numBlocks());
+    Result.Blocks[F].reserve(FA.numBlocks());
     for (unsigned B = 0; B != FA.numBlocks(); ++B) {
       const BlockDFG &DFG = FA.dfg(B);
-      BlockSchedule BS = scheduleBlock(DFG, MM, CA.func(F));
-      Result.BlockLengths[F][B] = BS.Length;
+      Result.Blocks[F].push_back(scheduleBlock(DFG, MM, CA.func(F)));
+      const BlockSchedule &BS = Result.Blocks[F].back();
       uint64_t Freq = Prof.getBlockFreq(F, B);
       Result.TotalCycles += static_cast<uint64_t>(BS.Length) * Freq;
       Result.DynamicMoves += static_cast<uint64_t>(BS.NumMoves) * Freq;

@@ -47,7 +47,7 @@ struct BlockSchedule {
   std::vector<unsigned> IssueCycle; ///< Per local operation index.
   /// Bus issue cycle of every in-block intercluster move (live-in refills
   /// and cross-cluster data edges; hoisted transfers excluded). One entry
-  /// per NumMoves, in reservation order. The trace-driven simulator
+  /// per NumMoves, in ascending order. The trace-driven simulator
   /// replays these slots against the dynamic bus state.
   std::vector<unsigned> MoveIssue;
 };
@@ -62,8 +62,9 @@ struct ProgramSchedule {
   uint64_t TotalCycles = 0;  ///< Σ block length × block frequency.
   uint64_t DynamicMoves = 0; ///< Σ block moves × block frequency.
   uint64_t StaticMoves = 0;  ///< Σ block moves (unweighted).
-  /// Per-function, per-block schedule lengths.
-  std::vector<std::vector<unsigned>> BlockLengths;
+  /// Per-function, per-block schedules: Blocks[F][B]. The simulator and
+  /// `gdptool schedule` replay these.
+  std::vector<std::vector<BlockSchedule>> Blocks;
 };
 
 /// Schedules every block of every function of \p PA's program, over the

@@ -55,12 +55,10 @@ struct MemOpInfo {
 
 /// Everything the replayer needs about one static block.
 struct BlockDesc {
-  unsigned Length = 0;
-  unsigned HoistedMoves = 0;
+  const BlockSchedule *Sched = nullptr; ///< The evaluation's schedule.
   int InnermostLoop = -1;
   bool IsLoopHeader = false;
-  std::vector<unsigned> MoveIssue; ///< Sorted static bus slots.
-  std::vector<MemOpInfo> MemOps;   ///< In program order.
+  std::vector<MemOpInfo> MemOps; ///< In program order.
   std::vector<uint32_t> OpsPerCluster;
 };
 
@@ -78,6 +76,7 @@ struct FuncDesc {
 SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
                              const ExecTrace &Trace, const MachineModel &MM,
                              const ClusterAssignment &CA,
+                             const ProgramSchedule &Schedule,
                              const DataPlacement &Placement) {
   telemetry::ScopedTimer Timer("sim.run");
   const Program &P = PA.program();
@@ -85,13 +84,25 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
   unsigned NumClusters = MM.getNumClusters();
   unsigned MoveLat = MM.getMoveLatency();
 
-  if (Trace.AccessObj.size() != P.getNumFunctions()) {
-    R.Error = "trace does not match program (was the program prepared with "
-              "trace capture?)";
+  auto InputError = [&](std::string Why) {
+    R.Error = std::move(Why);
     R.Diags.push_back(support::errorDiag(support::StatusCode::InputError,
                                          "sim", R.Error));
     return R;
+  };
+  if (Trace.AccessObj.size() != P.getNumFunctions())
+    return InputError("trace does not match program (was the program "
+                      "prepared with trace capture?)");
+  bool ShapeOk = Schedule.Blocks.size() == P.getNumFunctions();
+  for (unsigned F = 0; ShapeOk && F != P.getNumFunctions(); ++F) {
+    const FunctionAnalyses &FA = PA.function(F);
+    ShapeOk = Schedule.Blocks[F].size() == FA.numBlocks();
+    for (unsigned B = 0; ShapeOk && B != FA.numBlocks(); ++B)
+      ShapeOk = Schedule.Blocks[F][B].IssueCycle.size() == FA.dfg(B).size();
   }
+  if (!ShapeOk)
+    return InputError("schedule does not match program (function, block or "
+                      "operation counts differ)");
 
   // The bus model is the simulator's heart; its (injected) failure fails
   // the whole replay before any cycles are accounted.
@@ -101,7 +112,7 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
     return R;
   }
 
-  // --- Static precomputation: schedule every block once.
+  // --- Static precomputation: one descriptor per scheduled block.
   std::vector<FuncDesc> Funcs(P.getNumFunctions());
   for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
     const FunctionAnalyses &FA = PA.function(F);
@@ -118,12 +129,9 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
     }
     for (unsigned B = 0; B != NumBlocks; ++B) {
       const BlockDFG &DFG = FA.dfg(B);
-      BlockSchedule BS = scheduleBlock(DFG, MM, CA.func(F));
+      const BlockSchedule &BS = Schedule.Blocks[F][B];
       BlockDesc &BD = FD.Blocks[B];
-      BD.Length = BS.Length;
-      BD.HoistedMoves = BS.HoistedMoves;
-      BD.MoveIssue = BS.MoveIssue;
-      std::sort(BD.MoveIssue.begin(), BD.MoveIssue.end());
+      BD.Sched = &BS;
       BD.InnermostLoop = LI.innermostLoopOf(B);
       BD.IsLoopHeader =
           BD.InnermostLoop >= 0 &&
@@ -172,11 +180,8 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
   for (const ExecTrace::BlockEvent &Ev : Trace.Blocks) {
     if (Ev.Func >= Funcs.size() ||
         Ev.Block >= Funcs[Ev.Func].Blocks.size()) {
-      R.Error = formatStr("trace event (%u, %u) out of range", Ev.Func,
-                          Ev.Block);
-      R.Diags.push_back(support::errorDiag(support::StatusCode::InputError,
-                                           "sim", R.Error));
-      return R;
+      return InputError(formatStr("trace event (%u, %u) out of range",
+                                  Ev.Func, Ev.Block));
     }
     FuncDesc &FD = Funcs[Ev.Func];
     BlockDesc &BD = FD.Blocks[Ev.Block];
@@ -184,7 +189,7 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
     for (unsigned C = 0; C != NumClusters; ++C)
       OpsIssued[C] += BD.OpsPerCluster[C];
 
-    uint64_t End = T + BD.Length;
+    uint64_t End = T + BD.Sched->Length;
 
     // Block 0 is a fresh invocation: the previous block of this function
     // id (possibly another frame's) is not this execution's predecessor.
@@ -203,7 +208,7 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
     } else if (BD.InnermostLoop < 0) {
       // Hoistable live-ins of a block outside any loop degenerate to a
       // per-execution transfer (mirrors LoopInfo::entryCountOf).
-      HoistedNow = BD.HoistedMoves;
+      HoistedNow = BD.Sched->HoistedMoves;
     }
     for (unsigned K = 0; K != HoistedNow; ++K) {
       uint64_t Issue = Bus.reserve(T);
@@ -218,7 +223,7 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
     }
 
     // Replay the block's scheduled intercluster moves against the live bus.
-    for (unsigned S : BD.MoveIssue) {
+    for (unsigned S : BD.Sched->MoveIssue) {
       uint64_t Want = T + S;
       uint64_t Issue = Bus.reserve(Want);
       ++R.BusTransfers;
@@ -231,15 +236,11 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
     for (const MemOpInfo &MO : BD.MemOps) {
       const auto &Stream = Trace.AccessObj[Ev.Func][MO.OpId];
       uint32_t &Cursor = NextAccess[Ev.Func][MO.OpId];
-      if (Cursor >= Stream.size()) {
-        R.Error = formatStr(
+      if (Cursor >= Stream.size())
+        return InputError(formatStr(
             "access stream of operation (%u, %u) exhausted after %u events "
             "(trace/profile mismatch)",
-            Ev.Func, MO.OpId, Cursor);
-        R.Diags.push_back(support::errorDiag(
-            support::StatusCode::InputError, "sim", R.Error));
-        return R;
-      }
+            Ev.Func, MO.OpId, Cursor));
       int32_t Obj = Stream[Cursor++];
       int Home = Obj >= 0 && static_cast<unsigned>(Obj) <
                                  Placement.getNumObjects()
@@ -325,7 +326,10 @@ SimResult gdp::simulateStrategy(const PreparedProgram &PP,
   if (!PP.Trace)
     return Usage("prepared program carries no execution trace; call "
                  "prepareProgram(P, MaxSteps, /*CaptureTrace=*/true)");
+  if (R.Schedule.Blocks.empty())
+    return Usage("result carries no schedule; simulate only a successful "
+                 "runStrategy result");
   MachineModel MM = machineFor(Opt);
   return simulateTrace(*PP.Analyses, *PP.Trace, MM, R.Assignment,
-                       R.Placement);
+                       R.Schedule, R.Placement);
 }

@@ -8,8 +8,9 @@
 /// A deterministic trace-driven cycle simulator for the clustered VLIW —
 /// the dynamic counterpart of the static accounting in
 /// sched/ListScheduler. It replays an interpreter run's block trace
-/// (profile/ExecTrace) through the per-region schedules, carrying machine
-/// state *across* block boundaries that the static model resets per block:
+/// (profile/ExecTrace) through the evaluation's own per-region schedules
+/// (PipelineResult::Schedule; it never schedules), carrying machine state
+/// *across* block boundaries that the static model resets per block:
 ///
 ///  * the intercluster bus as a bandwidth-limited queue (getMoveBandwidth()
 ///    issue slots per cycle at getMoveLatency() transit) — in-block moves
@@ -53,6 +54,7 @@ class MachineModel;
 struct PipelineOptions;
 struct PipelineResult;
 struct PreparedProgram;
+struct ProgramSchedule;
 
 /// Outcome of one trace simulation.
 struct SimResult {
@@ -86,18 +88,24 @@ struct SimResult {
 };
 
 /// Replays \p Trace (recorded by Interpreter::setTrace during profiling of
-/// \p PA's program) against the schedules that \p CA and \p MM induce
-/// over \p PA's region DFGs, with data homes from \p Placement. Emits
-/// sim.* telemetry when a session is installed. Deterministic: equal
-/// inputs give bit-identical results.
+/// \p PA's program) against \p Schedule, the scheduleProgram result for
+/// \p CA on \p MM over \p PA's region DFGs, with data homes from
+/// \p Placement. Schedules nothing itself. Fails with an InputError when
+/// the trace does not match the program, or the schedule does not match
+/// its function, block or operation counts. Emits sim.* telemetry when a
+/// session is installed. Deterministic: equal inputs give bit-identical
+/// results.
 SimResult simulateTrace(const ProgramAnalyses &PA, const ExecTrace &Trace,
                         const MachineModel &MM, const ClusterAssignment &CA,
+                        const ProgramSchedule &Schedule,
                         const DataPlacement &Placement);
 
-/// Convenience wrapper: simulates an evaluated strategy \p R on a program
-/// prepared with trace capture (prepareProgram(..., /*CaptureTrace=*/true)).
-/// Fails with a UsageError if \p PP holds no analyses (its preparation
-/// failed) or no trace.
+/// Convenience wrapper: replays the schedule of an evaluated strategy \p R
+/// (PipelineResult::Schedule) on a program prepared with trace capture
+/// (prepareProgram(..., /*CaptureTrace=*/true)). \p Opt must be the
+/// options \p R was evaluated with. Fails with a UsageError if \p PP holds
+/// no analyses (its preparation failed) or no trace, or if \p R carries no
+/// schedule (a failed or default-constructed result).
 SimResult simulateStrategy(const PreparedProgram &PP,
                            const PipelineResult &R,
                            const PipelineOptions &Opt);

@@ -131,7 +131,8 @@ TEST_P(SchedFuzzTest, RandomAssignmentsKeepSchedulerInvariants) {
       }
       // The estimator never exceeds the real schedule (it is a max of
       // lower bounds).
-      EXPECT_LE(Est.estimate(Assign), BS.Length + 1);
+      unsigned Moves = 0;
+      EXPECT_LE(Est.estimateWithMoves(Assign, Moves), BS.Length + 1);
     }
   }
 }

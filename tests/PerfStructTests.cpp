@@ -23,6 +23,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -315,6 +316,29 @@ TEST(PreparedCacheTest, FailedBuildsAreCachedToo) {
   ASSERT_EQ(First->PP.Diags.size(), 1u);
   EXPECT_EQ(First->PP.Diags[0].Site, "test.load");
   EXPECT_EQ(First->PP.Diags[0].Message, "no such program");
+}
+
+TEST(PreparedCacheTest, ThrowingBuildPropagatesAndLeavesNoEntry) {
+  // Unlike a null build, a throw is not cached: the caller sees the
+  // exception and the next request for the key builds again.
+  PreparedProgramCache Cache;
+  const std::string Key = "perfstruct-throw";
+  EXPECT_THROW(Cache.get(Key, 200000000ULL, false,
+                         [](std::vector<support::Diag> &)
+                             -> std::unique_ptr<Program> {
+                           throw std::runtime_error("build failed");
+                         }),
+               std::runtime_error);
+  EXPECT_EQ(Cache.size(), 0u);
+  int Builds = 0;
+  auto Entry = Cache.get(Key, 200000000ULL, false,
+                         [&Builds](std::vector<support::Diag> &) {
+                           ++Builds;
+                           return buildWorkload("fir");
+                         });
+  EXPECT_EQ(Builds, 1);
+  EXPECT_TRUE(Entry->PP.Ok) << Entry->PP.Error;
+  EXPECT_EQ(Cache.size(), 1u);
 }
 
 TEST(PreparedCacheTest, LruEvictsLeastRecentlyUsedFirst) {

@@ -306,9 +306,16 @@ std::string scheduleText(const ProgramSchedule &PS) {
                               static_cast<unsigned long long>(PS.TotalCycles),
                               static_cast<unsigned long long>(PS.DynamicMoves),
                               static_cast<unsigned long long>(PS.StaticMoves));
-  for (const std::vector<unsigned> &Lengths : PS.BlockLengths) {
-    for (unsigned L : Lengths)
-      Out += std::to_string(L) + ",";
+  for (const std::vector<BlockSchedule> &Blocks : PS.Blocks) {
+    for (const BlockSchedule &BS : Blocks) {
+      Out += formatStr("%u/%u/%u:", BS.Length, BS.NumMoves, BS.HoistedMoves);
+      for (unsigned C : BS.IssueCycle)
+        Out += std::to_string(C) + " ";
+      Out += "moves";
+      for (unsigned C : BS.MoveIssue)
+        Out += " " + std::to_string(C);
+      Out += ",";
+    }
     Out += "|";
   }
   return Out;
@@ -362,13 +369,15 @@ TEST(RHOPSharing, SharedAnalysesEqualPerCallAnalyses) {
         EXPECT_EQ(assignmentText(P, Locked),
                   assignmentText(P, runRHOP(P, PP.Prof, MM, &Locks)));
 
-        EXPECT_EQ(scheduleText(scheduleProgram(Shared, PP.Prof, MM, Locked)),
-                  scheduleText(scheduleProgram(P, PP.Prof, MM, Locked)));
+        ProgramSchedule Sched = scheduleProgram(Shared, PP.Prof, MM, Locked);
+        ProgramSchedule PerCall = scheduleProgram(P, PP.Prof, MM, Locked);
+        EXPECT_EQ(scheduleText(Sched), scheduleText(PerCall));
         SimResult Sim =
-            simulateTrace(Shared, *PP.Trace, MM, Locked, G.Placement);
+            simulateTrace(Shared, *PP.Trace, MM, Locked, Sched, G.Placement);
         EXPECT_TRUE(Sim.Ok) << Sim.Error;
-        EXPECT_EQ(simText(Sim), simText(simulateTrace(P, *PP.Trace, MM,
-                                                      Locked, G.Placement)));
+        EXPECT_EQ(simText(Sim),
+                  simText(simulateTrace(P, *PP.Trace, MM, Locked, PerCall,
+                                        G.Placement)));
       }
     }
   }

@@ -635,6 +635,29 @@ TEST(SimDiags, BusFaultFailsWithStructuredDiag) {
   EXPECT_EQ(support::firstError(S.Diags)->Code, StatusCode::FaultInjected);
 }
 
+TEST(SimDiags, ResultWithoutScheduleIsAUsageError) {
+  // The simulator replays the evaluation's schedule; a default result and
+  // one failed before the schedule phase carry none.
+  PipelineOptions Opt;
+  SimResult Default = simulateStrategy(fir().PP, PipelineResult(), Opt);
+  EXPECT_FALSE(Default.Ok);
+  ASSERT_NE(support::firstError(Default.Diags), nullptr);
+  EXPECT_EQ(support::firstError(Default.Diags)->Code, StatusCode::UsageError);
+
+  support::CancelToken Tok;
+  Tok.cancel();
+  support::Budget B;
+  B.Cancel = &Tok;
+  Opt.EvalBudget = &B;
+  PipelineResult Cancelled = runStrategy(fir().PP, Opt);
+  ASSERT_TRUE(Cancelled.Failed);
+  EXPECT_TRUE(Cancelled.Schedule.Blocks.empty());
+  SimResult S = simulateStrategy(fir().PP, Cancelled, Opt);
+  EXPECT_FALSE(S.Ok);
+  ASSERT_NE(support::firstError(S.Diags), nullptr);
+  EXPECT_EQ(support::firstError(S.Diags)->Code, StatusCode::UsageError);
+}
+
 TEST(SimDiags, MissingTraceIsAUsageError) {
   bench::SuiteEntry NoTrace;
   NoTrace.P = buildWorkload("fir");

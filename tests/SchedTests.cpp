@@ -341,19 +341,21 @@ TEST(EstimatorTest, MatchesResourceBound) {
   R.finalize();
   MachineModel MM = MachineModel::makeDefault();
   ScheduleEstimator Est(*R.DFG, MM);
-  EXPECT_GE(Est.estimate(R.uniformAssign(0)), 5u);
+  unsigned Moves = 0;
+  EXPECT_GE(Est.estimateWithMoves(R.uniformAssign(0), Moves), 5u);
 }
 
 TEST(EstimatorTest, CrossClusterAddsMoveLatencyToCP) {
   Region R = makeSimpleBlock();
   MachineModel MM = MachineModel::makeDefault(2, 5);
   ScheduleEstimator Est(*R.DFG, MM);
-  unsigned Local = Est.estimate(R.uniformAssign(0));
+  unsigned Moves = 0;
+  unsigned Local = Est.estimateWithMoves(R.uniformAssign(0), Moves);
   std::vector<int> Split = R.uniformAssign(0);
   const BasicBlock &BB = R.F->getEntryBlock();
   Split[static_cast<unsigned>(BB.getOp(BB.size() - 2).getId())] = 1;
   Split[static_cast<unsigned>(BB.getOp(BB.size() - 1).getId())] = 1;
-  EXPECT_GE(Est.estimate(Split), Local + 4);
+  EXPECT_GE(Est.estimateWithMoves(Split, Moves), Local + 4);
 }
 
 TEST(EstimatorTest, CountMovesDedups) {
@@ -372,7 +374,9 @@ TEST(EstimatorTest, CountMovesDedups) {
   std::vector<int> Assign = R.uniformAssign(1);
   Assign[static_cast<unsigned>(
       R.F->getEntryBlock().getOp(0).getId())] = 0;
-  EXPECT_EQ(Est.countMoves(Assign), 1u);
+  unsigned Moves = 0;
+  Est.estimateWithMoves(Assign, Moves);
+  EXPECT_EQ(Moves, 1u);
 }
 
 TEST(EstimatorTest, TracksSchedulerOrdering) {
@@ -382,7 +386,8 @@ TEST(EstimatorTest, TracksSchedulerOrdering) {
   MachineModel MM = MachineModel::makeDefault(2, 10);
   ScheduleEstimator Est(*R.DFG, MM);
   BlockSchedule Real = scheduleBlock(*R.DFG, MM, R.uniformAssign(0));
-  unsigned E = Est.estimate(R.uniformAssign(0));
+  unsigned Moves = 0;
+  unsigned E = Est.estimateWithMoves(R.uniformAssign(0), Moves);
   EXPECT_LE(E, Real.Length + 2);
 }
 
@@ -428,12 +433,12 @@ TEST(EstimatorTest, LowerBoundsRealScheduleAcrossSuite) {
         LoopInfo LI(*F, Cfg);
         for (unsigned Bk = 0; Bk != F->getNumBlocks(); ++Bk) {
           BlockDFG DFG(F->getBlock(Bk), DU, OI, &LI);
-          BlockSchedule BS = scheduleBlock(
-              DFG, MM, Res.Assignment.func(static_cast<unsigned>(F->getId())));
+          const std::vector<int> &Assign =
+              Res.Assignment.func(static_cast<unsigned>(F->getId()));
+          BlockSchedule BS = scheduleBlock(DFG, MM, Assign);
           ScheduleEstimator Est(DFG, MM);
-          EXPECT_LE(Est.estimate(Res.Assignment.func(
-                        static_cast<unsigned>(F->getId()))),
-                    BS.Length)
+          unsigned Moves = 0;
+          EXPECT_LE(Est.estimateWithMoves(Assign, Moves), BS.Length)
               << W.Name << " " << F->getName() << " bb" << Bk << " lat"
               << Lat;
         }

@@ -15,11 +15,17 @@
 //    reply) fires on a synthetic program whose placement splits objects
 //    across clusters, producing remote accesses, transit stalls and
 //    port-queuing stalls that the bundled workloads (whose placements are
-//    always operation-consistent) never exercise.
+//    always operation-consistent) never exercise;
+//  * the schedule a result carries, which the simulator replays, is the
+//    schedule of that result's assignment, on the suite and the gen
+//    corpus, and a schedule of the wrong shape is rejected.
 //
 //===----------------------------------------------------------------------===//
 
+#include "GenTestUtil.h"
+
 #include "bench/BenchCommon.h"
+#include "gen/Generator.h"
 #include "ir/IRBuilder.h"
 #include "machine/MachineModel.h"
 #include "partition/DataPlacement.h"
@@ -28,6 +34,7 @@
 #include "profile/Interpreter.h"
 #include "sched/ListScheduler.h"
 #include "sim/Simulator.h"
+#include "support/StrUtil.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -67,6 +74,55 @@ const std::vector<bench::SimEval> &matrixLat5() {
   return Evals;
 }
 
+/// Why \p R's schedule is not the one the simulator should replay, or ""
+/// when it is: one BlockSchedule per block, each MoveIssue ascending with
+/// NumMoves entries, every block equal to a fresh schedule of
+/// R.Assignment on \p MM, and the profile-weighted fold, as
+/// scheduleProgram does it, giving back R's cycles and moves exactly.
+std::string scheduleFoldError(const PreparedProgram &PP,
+                              const PipelineResult &R,
+                              const MachineModel &MM) {
+  const ProgramAnalyses &PA = *PP.Analyses;
+  unsigned NumFuncs = PA.program().getNumFunctions();
+  if (R.Schedule.Blocks.size() != NumFuncs)
+    return "no block list per function";
+  uint64_t Cycles = 0, Dynamic = 0, Static = 0;
+  for (unsigned F = 0; F != NumFuncs; ++F) {
+    const FunctionAnalyses &FA = PA.function(F);
+    if (R.Schedule.Blocks[F].size() != FA.numBlocks())
+      return formatStr("f%u: not one schedule per block", F);
+    for (unsigned B = 0; B != FA.numBlocks(); ++B) {
+      const BlockSchedule &BS = R.Schedule.Blocks[F][B];
+      if (BS.MoveIssue.size() != BS.NumMoves ||
+          !std::is_sorted(BS.MoveIssue.begin(), BS.MoveIssue.end()))
+        return formatStr("f%u/bb%u: move slots unsorted or miscounted", F,
+                         B);
+      BlockSchedule Fresh = scheduleBlock(FA.dfg(B), MM, R.Assignment.func(F));
+      if (BS.Length != Fresh.Length || BS.IssueCycle != Fresh.IssueCycle ||
+          BS.MoveIssue != Fresh.MoveIssue ||
+          BS.HoistedMoves != Fresh.HoistedMoves)
+        return formatStr("f%u/bb%u: not the schedule of the assignment", F,
+                         B);
+      uint64_t Freq = PP.Prof.getBlockFreq(F, B);
+      Cycles += static_cast<uint64_t>(BS.Length) * Freq;
+      Dynamic += static_cast<uint64_t>(BS.NumMoves) * Freq +
+                 static_cast<uint64_t>(BS.HoistedMoves) *
+                     FA.loops().entryCountOf(B, F, PP.Prof);
+      Static += BS.NumMoves + BS.HoistedMoves;
+    }
+  }
+  if (Cycles != R.Cycles || Dynamic != R.DynamicMoves ||
+      Static != R.StaticMoves)
+    return formatStr("fold %llu/%llu/%llu != result %llu/%llu/%llu",
+                     static_cast<unsigned long long>(Cycles),
+                     static_cast<unsigned long long>(Dynamic),
+                     static_cast<unsigned long long>(Static),
+                     static_cast<unsigned long long>(R.Cycles),
+                     static_cast<unsigned long long>(R.DynamicMoves),
+                     static_cast<unsigned long long>(R.StaticMoves));
+  return "";
+}
+
 TEST(SimTest, CyclesBoundedByStaticEstimateAcrossSuite) {
   // Acceptance bound: for every (workload, strategy) at latency 5 the
   // simulation is >= the static estimate (blocks replay back to back at
@@ -86,10 +142,38 @@ TEST(SimTest, CyclesBoundedByStaticEstimateAcrossSuite) {
           << E.Name << " " << strategyName(K)
           << ": simulation drifted more than 25% past the static estimate";
       EXPECT_GT(Ev.S.BlockExecs, 0u) << E.Name;
+      EXPECT_EQ(scheduleFoldError(E.PP, Ev.R, MachineModel::makeDefault(2, 5)),
+                "")
+          << E.Name << " " << strategyName(K);
       ASSERT_EQ(Ev.S.ClusterUtilization.size(), 2u) << E.Name;
       for (double U : Ev.S.ClusterUtilization) {
         EXPECT_GE(U, 0.0) << E.Name << " " << strategyName(K);
         EXPECT_LE(U, 1.0) << E.Name << " " << strategyName(K);
+      }
+    }
+}
+
+TEST(SimTest, ResultScheduleIsTheAssignmentsOnGenCorpus) {
+  // The suite check above, on generated programs: every strategy's result
+  // carries the schedule of its own final assignment. Naive is the case
+  // to watch: its memory operations move to their home clusters after
+  // the shared unlocked RHOP run.
+  unsigned N = gentest::seedCount(25);
+  for (uint64_t Seed = 1; Seed <= N; ++Seed)
+    for (const gen::GenOptions &GO : {gen::GenOptions::smallDifferential(Seed),
+                                      gen::GenOptions::property(Seed)}) {
+      SCOPED_TRACE(gen::reproCommand(GO));
+      std::unique_ptr<Program> P = gen::generateProgram(GO);
+      ASSERT_NE(P, nullptr);
+      PreparedProgram PP = prepareProgram(*P);
+      ASSERT_TRUE(PP.Ok) << PP.Error;
+      for (StrategyKind K : AllStrategies) {
+        PipelineOptions Opt;
+        Opt.Strategy = K;
+        PipelineResult R = runStrategy(PP, Opt);
+        ASSERT_TRUE(R.ok()) << strategyName(K);
+        EXPECT_EQ(scheduleFoldError(PP, R, machineFor(Opt)), "")
+            << strategyName(K);
       }
     }
 }
@@ -216,12 +300,13 @@ TEST(SimTest, RemoteAccessPaysTransferAndStalls) {
 
   MachineModel MM = MachineModel::makeDefault(2, 5);
   ClusterAssignment CA(*P); // Everything on cluster 0.
+  ProgramSchedule Static = scheduleProgram(*P, I.getProfile(), MM, CA);
 
   // All homes local: every access is served in the static schedule.
   DataPlacement Local(P->getNumObjects());
   Local.setHome(static_cast<unsigned>(A), 0);
   Local.setHome(static_cast<unsigned>(Out), 0);
-  SimResult SLocal = simulateTrace(*P, Trace, MM, CA, Local);
+  SimResult SLocal = simulateTrace(*P, Trace, MM, CA, Static, Local);
   ASSERT_TRUE(SLocal.Ok) << SLocal.Error;
   EXPECT_EQ(SLocal.RemoteAccesses, 0u);
   EXPECT_EQ(SLocal.LocalAccesses, 32u); // 16 loads + 16 stores.
@@ -233,7 +318,7 @@ TEST(SimTest, RemoteAccessPaysTransferAndStalls) {
   DataPlacement Split(P->getNumObjects());
   Split.setHome(static_cast<unsigned>(A), 1);
   Split.setHome(static_cast<unsigned>(Out), 0);
-  SimResult SSplit = simulateTrace(*P, Trace, MM, CA, Split);
+  SimResult SSplit = simulateTrace(*P, Trace, MM, CA, Static, Split);
   ASSERT_TRUE(SSplit.Ok) << SSplit.Error;
   EXPECT_EQ(SSplit.RemoteAccesses, 16u);
   EXPECT_EQ(SSplit.LocalAccesses, 16u);
@@ -244,8 +329,6 @@ TEST(SimTest, RemoteAccessPaysTransferAndStalls) {
   EXPECT_GT(SSplit.Cycles, SLocal.Cycles);
 
   // Both runs bound the static estimate from above.
-  ProgramSchedule Static =
-      scheduleProgram(*P, I.getProfile(), MM, CA);
   EXPECT_GE(SLocal.Cycles, Static.TotalCycles);
   EXPECT_GE(SSplit.Cycles, Static.TotalCycles);
 }
@@ -303,7 +386,8 @@ TEST(SimTest, RemoteRequestsQueueAtTheHomePort) {
   DataPlacement PL(P->getNumObjects());
   PL.setHome(static_cast<unsigned>(A), 2);
   PL.setHome(static_cast<unsigned>(Out), 1);
-  SimResult S = simulateTrace(*P, Trace, MM, CA, PL);
+  SimResult S = simulateTrace(
+      *P, Trace, MM, CA, scheduleProgram(*P, I.getProfile(), MM, CA), PL);
   ASSERT_TRUE(S.Ok) << S.Error;
   EXPECT_EQ(S.RemoteAccesses, 2u); // The loads; the store is home-local.
   EXPECT_EQ(S.LocalAccesses, 1u);
@@ -315,13 +399,48 @@ TEST(SimTest, RemoteRequestsQueueAtTheHomePort) {
 TEST(SimTest, MismatchedTraceIsRejected) {
   int A = 0, Out = 0;
   auto P = makeLoopProgram(A, Out);
+  Interpreter I(*P);
+  ASSERT_TRUE(I.run().Ok);
   MachineModel MM = MachineModel::makeDefault(2, 5);
   ClusterAssignment CA(*P);
   DataPlacement PL(P->getNumObjects());
   ExecTrace Empty; // Never recorded against P.
-  SimResult S = simulateTrace(*P, Empty, MM, CA, PL);
+  SimResult S = simulateTrace(*P, Empty, MM, CA,
+                              scheduleProgram(*P, I.getProfile(), MM, CA), PL);
   EXPECT_FALSE(S.Ok);
   EXPECT_FALSE(S.Error.empty());
+}
+
+TEST(SimTest, MismatchedScheduleIsRejected) {
+  // A schedule is replayed, never recomputed: one whose function, block or
+  // operation counts differ from the program's is an input error, not an
+  // out-of-range read.
+  int A = 0, Out = 0;
+  auto P = makeLoopProgram(A, Out);
+  Interpreter I(*P);
+  ExecTrace Trace;
+  I.setTrace(&Trace);
+  ASSERT_TRUE(I.run().Ok);
+  MachineModel MM = MachineModel::makeDefault(2, 5);
+  ClusterAssignment CA(*P);
+  DataPlacement PL(P->getNumObjects());
+  ProgramSchedule Good = scheduleProgram(*P, I.getProfile(), MM, CA);
+  ASSERT_TRUE(simulateTrace(*P, Trace, MM, CA, Good, PL).Ok);
+
+  ProgramSchedule NoBlock = Good;
+  NoBlock.Blocks[0].pop_back();
+  ProgramSchedule NoOp = Good;
+  NoOp.Blocks[0][0].IssueCycle.push_back(0);
+  for (const ProgramSchedule *Bad : {&NoBlock, &NoOp}) {
+    SimResult S = simulateTrace(*P, Trace, MM, CA, *Bad, PL);
+    EXPECT_FALSE(S.Ok);
+    ASSERT_NE(support::firstError(S.Diags), nullptr);
+    EXPECT_EQ(support::firstError(S.Diags)->Code,
+              support::StatusCode::InputError);
+  }
+  SimResult S = simulateTrace(*P, Trace, MM, CA, ProgramSchedule(), PL);
+  EXPECT_FALSE(S.Ok);
+  EXPECT_NE(S.Error.find("schedule does not match"), std::string::npos);
 }
 
 TEST(SimTest, SimulateStrategyRequiresCapturedTrace) {

@@ -431,6 +431,50 @@ std::vector<StrategyKind> parseStrategies(const std::string &StrategyArg) {
   return {};
 }
 
+/// One strategy evaluation of `run`, `sim` or `report`: the pipeline
+/// result, its trace simulation when one was asked for, and the private
+/// telemetry shard both recorded into.
+struct StrategyEval {
+  PipelineResult R;
+  SimResult S;
+  std::unique_ptr<telemetry::TelemetrySession> Shard;
+};
+
+/// Evaluates each strategy of \p Kinds on \p PP and, with \p Simulate,
+/// replays every usable result through the trace simulator. Evaluations
+/// are independent over shared read-only state, so they run concurrently
+/// under --threads. Each records into its own shard and counts fault hits
+/// in its own scope, `gdptool|<Verb>|<Spec>|<strategy>`; the caller merges
+/// the shards into its session in strategy order, so tables, timings and
+/// any --stats/--trace export are identical at every thread count.
+std::vector<StrategyEval>
+evaluateStrategies(const char *Verb, const std::string &Spec,
+                   const PreparedProgram &PP,
+                   const std::vector<StrategyKind> &Kinds, unsigned Latency,
+                   unsigned Clusters, bool Simulate) {
+  support::ThreadPool Pool(toolThreads() - 1);
+  return Pool.parallelMap(Kinds, [&](const StrategyKind &K) {
+    StrategyEval E;
+    E.Shard = std::make_unique<telemetry::TelemetrySession>();
+    // Merged --trace events carry the strategy's task index and hang off
+    // the span that was live when the task was submitted.
+    E.Shard->adoptTaskContext(telemetry::inheritedContext(),
+                              static_cast<int32_t>(&K - Kinds.data()));
+    telemetry::ScopedSession Scope(*E.Shard);
+    support::FaultScope Faults(
+        FaultsFlag ? FaultsFlag.get() : support::FaultPlan::fromEnv(),
+        std::string("gdptool|") + Verb + "|" + Spec + "|" + strategyName(K));
+    PipelineOptions Opt;
+    Opt.Strategy = K;
+    Opt.MoveLatency = Latency;
+    Opt.NumClusters = Clusters;
+    E.R = runStrategy(PP, Opt);
+    if (Simulate && E.R.ok())
+      E.S = simulateStrategy(PP, E.R, Opt);
+    return E;
+  });
+}
+
 int cmdRun(const std::string &Spec, const std::string &StrategyArg,
            unsigned Latency, unsigned Clusters, bool ShowPlacement) {
   // Always attach a session: the per-strategy timing summary below reads
@@ -454,39 +498,8 @@ int cmdRun(const std::string &Spec, const std::string &StrategyArg,
   std::printf("program %s on %u clusters, %u-cycle moves\n\n",
               P.getName().c_str(), Clusters, Latency);
 
-  // Every strategy is an independent evaluation over shared read-only
-  // state, so they run concurrently under --threads. Each evaluation
-  // records into a private telemetry shard on its own thread; the shards
-  // merge into the main session in strategy order at join time, so the
-  // table, the timing summary and any --stats/--trace export are
-  // identical at every thread count.
-  struct StrategyEval {
-    PipelineResult R;
-    std::unique_ptr<telemetry::TelemetrySession> Shard;
-  };
-  support::ThreadPool Pool(toolThreads() - 1);
-  std::vector<StrategyEval> Evals =
-      Pool.parallelMap(Kinds, [&](const StrategyKind &K) {
-        StrategyEval E;
-        E.Shard = std::make_unique<telemetry::TelemetrySession>();
-        // Merged --trace events carry the strategy's task index and hang
-        // off the span that was live when the task was submitted.
-        E.Shard->adoptTaskContext(
-            telemetry::inheritedContext(),
-            static_cast<int32_t>(&K - Kinds.data()));
-        telemetry::ScopedSession Scope(*E.Shard);
-        // Per-strategy fault scope: hit counting is independent of the
-        // thread the evaluation lands on (docs/ROBUSTNESS.md).
-        support::FaultScope Faults(
-            FaultsFlag ? FaultsFlag.get() : support::FaultPlan::fromEnv(),
-            std::string("gdptool|run|") + Spec + "|" + strategyName(K));
-        PipelineOptions Opt;
-        Opt.Strategy = K;
-        Opt.MoveLatency = Latency;
-        Opt.NumClusters = Clusters;
-        E.R = runStrategy(PP, Opt);
-        return E;
-      });
+  std::vector<StrategyEval> Evals = evaluateStrategies(
+      "run", Spec, PP, Kinds, Latency, Clusters, /*Simulate=*/false);
 
   TextTable Table({"strategy", "cycles", "dyn moves", "partition ms"});
   uint64_t UnifiedCycles = 0;
@@ -557,36 +570,14 @@ int cmdSim(const std::string &Spec, const std::string &StrategyArg,
               P.getName().c_str(), Clusters, Latency,
               static_cast<unsigned long long>(PP.Trace->numBlockEvents()));
 
-  struct SimEval {
-    PipelineResult R;
-    SimResult S;
-    std::unique_ptr<telemetry::TelemetrySession> Shard;
-  };
-  support::ThreadPool Pool(toolThreads() - 1);
-  std::vector<SimEval> Evals = Pool.parallelMap(Kinds, [&](const StrategyKind &K) {
-    SimEval E;
-    E.Shard = std::make_unique<telemetry::TelemetrySession>();
-    E.Shard->adoptTaskContext(telemetry::inheritedContext(),
-                              static_cast<int32_t>(&K - Kinds.data()));
-    telemetry::ScopedSession Scope(*E.Shard);
-    support::FaultScope Faults(
-        FaultsFlag ? FaultsFlag.get() : support::FaultPlan::fromEnv(),
-        std::string("gdptool|sim|") + Spec + "|" + strategyName(K));
-    PipelineOptions Opt;
-    Opt.Strategy = K;
-    Opt.MoveLatency = Latency;
-    Opt.NumClusters = Clusters;
-    E.R = runStrategy(PP, Opt);
-    if (E.R.ok())
-      E.S = simulateStrategy(PP, E.R, Opt);
-    return E;
-  });
+  std::vector<StrategyEval> Evals = evaluateStrategies(
+      "sim", Spec, PP, Kinds, Latency, Clusters, /*Simulate=*/true);
 
   TextTable Table({"strategy", "static cycles", "sim cycles", "sim/static",
                    "bus stall", "move stall", "port stall", "remote"});
   int Exit = 0;
   for (size_t I = 0; I != Kinds.size(); ++I) {
-    const SimEval &E = Evals[I];
+    const StrategyEval &E = Evals[I];
     Telemetry.session()->mergeFrom(*E.Shard);
     if (int Code = reportEvaluation(Kinds[I], E.R))
       Exit = Code;
@@ -695,36 +686,11 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
   const Program &P = *C->Prog;
 
   std::vector<StrategyKind> Kinds = parseStrategies("all");
-  struct ReportEval {
-    PipelineResult R;
-    SimResult S;
-    std::unique_ptr<telemetry::TelemetrySession> Shard;
-    std::map<std::string, double> Timers;
-  };
-  support::ThreadPool Pool(toolThreads() - 1);
-  std::vector<ReportEval> Evals =
-      Pool.parallelMap(Kinds, [&](const StrategyKind &K) {
-        ReportEval E;
-        E.Shard = std::make_unique<telemetry::TelemetrySession>();
-        E.Shard->adoptTaskContext(telemetry::inheritedContext(),
-                                  static_cast<int32_t>(&K - Kinds.data()));
-        telemetry::ScopedSession Scope(*E.Shard);
-        support::FaultScope Faults(
-            FaultsFlag ? FaultsFlag.get() : support::FaultPlan::fromEnv(),
-            std::string("gdptool|report|") + Spec + "|" + strategyName(K));
-        PipelineOptions Opt;
-        Opt.Strategy = K;
-        Opt.MoveLatency = Latency;
-        Opt.NumClusters = Clusters;
-        E.R = runStrategy(PP, Opt);
-        if (E.R.ok())
-          E.S = simulateStrategy(PP, E.R, Opt);
-        return E;
-      });
+  std::vector<StrategyEval> Evals = evaluateStrategies(
+      "report", Spec, PP, Kinds, Latency, Clusters, /*Simulate=*/true);
 
   int Exit = 0;
   for (size_t I = 0; I != Kinds.size(); ++I) {
-    Evals[I].Timers = Evals[I].Shard->stats().timerSnapshot();
     Telemetry.session()->mergeFrom(*Evals[I].Shard);
     if (Evals[I].R.Failed || (!Evals[I].S.Ok && Evals[I].R.ok()))
       Exit = 3;
@@ -752,7 +718,7 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
     ReportTable T({"strategy", "status", "cycles", "dyn moves",
                    "static moves", "rhop runs", "sim cycles", "sim/static"});
     for (size_t I = 0; I != Kinds.size(); ++I) {
-      const ReportEval &E = Evals[I];
+      const StrategyEval &E = Evals[I];
       std::string Status = E.R.Failed     ? "failed"
                            : E.R.Degraded ? formatStr("degraded->%s",
                                                       strategyName(
@@ -780,7 +746,7 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
     ReportTable T({"strategy", "data-partition ms", "rhop ms", "schedule ms",
                    "total ms"});
     for (size_t I = 0; I != Kinds.size(); ++I) {
-      const auto &Timers = Evals[I].Timers;
+      auto Timers = Evals[I].Shard->stats().timerSnapshot();
       auto Ms = [&Timers](const char *Name) {
         auto It = Timers.find(Name);
         return (It == Timers.end() ? 0 : It->second) * 1e3;
@@ -931,17 +897,15 @@ int cmdSchedule(const std::string &Spec, const std::string &StrategyArg,
   PipelineResult R = runStrategy(PP, Opt);
   if (int Code = reportEvaluation(Opt.Strategy, R))
     return Code;
-  MachineModel MM = machineFor(Opt);
 
   // Find the hottest block (largest cycle contribution).
   unsigned BestF = 0, BestB = 0;
   uint64_t BestContrib = 0;
-  ProgramSchedule PS =
-      scheduleProgram(*PP.Analyses, PP.Prof, MM, R.Assignment);
   for (unsigned F = 0; F != P.getNumFunctions(); ++F)
     for (unsigned Bk = 0; Bk != P.getFunction(F).getNumBlocks(); ++Bk) {
-      uint64_t Contrib = static_cast<uint64_t>(PS.BlockLengths[F][Bk]) *
-                         PP.Prof.getBlockFreq(F, Bk);
+      uint64_t Contrib =
+          static_cast<uint64_t>(R.Schedule.Blocks[F][Bk].Length) *
+          PP.Prof.getBlockFreq(F, Bk);
       if (Contrib > BestContrib) {
         BestContrib = Contrib;
         BestF = F;
@@ -951,14 +915,14 @@ int cmdSchedule(const std::string &Spec, const std::string &StrategyArg,
 
   const Function &Fn = P.getFunction(BestF);
   const BlockDFG &DFG = PP.Analyses->function(BestF).dfg(BestB);
-  BlockSchedule BS = scheduleBlock(DFG, MM, R.Assignment.func(BestF));
   std::printf("hottest region: %s/bb%u (%s), executed %llu times under %s\n\n",
               Fn.getName().c_str(), BestB,
               Fn.getBlock(BestB).getName().c_str(),
               static_cast<unsigned long long>(
                   PP.Prof.getBlockFreq(BestF, BestB)),
               strategyName(Opt.Strategy));
-  std::printf("%s", printBlockSchedule(DFG, BS, MM,
+  std::printf("%s", printBlockSchedule(DFG, R.Schedule.Blocks[BestF][BestB],
+                                       machineFor(Opt),
                                        R.Assignment.func(BestF)).c_str());
   return 0;
 }
