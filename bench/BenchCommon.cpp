@@ -4,6 +4,7 @@
 
 #include "partition/PreparedCache.h"
 #include "support/FaultInjector.h"
+#include "support/Json.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
@@ -17,6 +18,7 @@
 
 using namespace gdp;
 using namespace gdp::bench;
+using gdp::support::json::escape;
 
 namespace {
 
@@ -53,16 +55,6 @@ void flushJson() {
   if (std::rename(Tmp.c_str(), JsonPath.c_str()) != 0)
     std::fprintf(stderr, "error: cannot rename '%s' to '%s'\n", Tmp.c_str(),
                  JsonPath.c_str());
-}
-
-std::string escape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
 }
 
 /// Appends (or replaces) one finished record under its dedup key.

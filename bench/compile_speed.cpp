@@ -4,19 +4,16 @@
 // workload under every strategy at one move latency — and breaks each
 // evaluation into its pipeline phases (prepare / data partition / RHOP /
 // schedule) from the telemetry phase timers. Emits a machine-readable
-// BENCH_compile.json and can gate CI against a recorded baseline:
+// BENCH_compile.json (schema gdp-compile-speed-v1):
 //
-//   compile_speed [--out=FILE] [--lat=N]
-//                 [--check-against=BASELINE.json] [--ceiling=3.0]
-//                 [--affinity]
+//   compile_speed [--out=FILE] [--lat=N] [--affinity]
 //
-// With --check-against, the run fails (exit 1) if any workload's total
-// wall-clock exceeds ceiling × its baseline value — a coarse tripwire for
-// order-of-magnitude compile-time regressions that still tolerates noisy
-// shared CI machines. The timing loop is strictly serial so phase numbers
-// are comparable run to run; records in the JSON are wall-clock and thus
-// machine-dependent (regenerate the baseline when the reference machine
-// changes).
+// `bench_diff bench/compile_baseline.json BENCH_compile.json
+// --tol=workload_wall_sec:2.0` gates a run against the recorded baseline
+// (CI's bench-regression job). The timing loop is strictly serial so phase
+// numbers are comparable run to run; records in the JSON are wall-clock
+// and thus machine-dependent (regenerate the baseline when the reference
+// machine changes).
 //
 // With --affinity the binary instead runs the concurrent-vs-pinned
 // experiment matrix: the full figure-7 evaluation at 1/2/4/8 threads,
@@ -38,9 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -103,30 +98,6 @@ std::string renderJson(const std::vector<WorkloadTiming> &Workloads,
   S += "\n  ],\n";
   S += "  \"total_wall_sec\": " + jsonDouble(TotalSec) + "\n}\n";
   return S;
-}
-
-/// Extracts {workload -> workload_wall_sec} from a BENCH_compile.json by
-/// string scanning — the file is generated by renderJson() above, so each
-/// "workload" key is followed by that workload's "workload_wall_sec". No
-/// general JSON parser needed (and none is available in-tree).
-std::map<std::string, double> parseBaseline(const std::string &Text) {
-  std::map<std::string, double> Walls;
-  size_t Pos = 0;
-  const std::string NameKey = "\"workload\": \"";
-  const std::string WallKey = "\"workload_wall_sec\": ";
-  while ((Pos = Text.find(NameKey, Pos)) != std::string::npos) {
-    size_t NameBegin = Pos + NameKey.size();
-    size_t NameEnd = Text.find('"', NameBegin);
-    if (NameEnd == std::string::npos)
-      break;
-    std::string Name = Text.substr(NameBegin, NameEnd - NameBegin);
-    size_t WallPos = Text.find(WallKey, NameEnd);
-    if (WallPos == std::string::npos)
-      break;
-    Walls[Name] = std::atof(Text.c_str() + WallPos + WallKey.size());
-    Pos = WallPos;
-  }
-  return Walls;
 }
 
 /// One configuration of the concurrent-vs-affinity experiment.
@@ -231,24 +202,17 @@ int main(int argc, char **argv) {
 
   std::string OutPath = AffinityMode ? "BENCH_affinity.json"
                                      : "BENCH_compile.json";
-  std::string BaselinePath;
-  double Ceiling = 3.0;
   unsigned Latency = 5;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--out=", 0) == 0)
       OutPath = Arg.substr(6);
-    else if (Arg.rfind("--check-against=", 0) == 0)
-      BaselinePath = Arg.substr(16);
-    else if (Arg.rfind("--ceiling=", 0) == 0)
-      Ceiling = std::atof(Arg.c_str() + 10);
     else if (Arg.rfind("--lat=", 0) == 0)
       Latency = static_cast<unsigned>(std::atoi(Arg.c_str() + 6));
     else {
       std::fprintf(stderr,
-                   "usage: compile_speed [--out=FILE] [--lat=N]\n"
-                   "                     [--check-against=FILE] "
-                   "[--ceiling=X] [--affinity]\n");
+                   "usage: compile_speed [--out=FILE] [--lat=N] "
+                   "[--affinity]\n");
       return 1;
     }
   }
@@ -319,61 +283,12 @@ int main(int argc, char **argv) {
   std::printf("%s\n", Table.render().c_str());
   std::printf("full-matrix wall-clock: %.3f s\n\n", TotalSec);
 
-  std::string Json = renderJson(Workloads, Latency, TotalSec);
-  {
-    std::ofstream Out(OutPath);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", OutPath.c_str());
-      return 1;
-    }
-    Out << Json;
+  std::ofstream Out(OutPath);
+  if (!Out) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", OutPath.c_str());
+    return 1;
   }
+  Out << renderJson(Workloads, Latency, TotalSec);
   std::printf("wrote %s\n", OutPath.c_str());
-
-  if (BaselinePath.empty())
-    return 0;
-
-  std::ifstream In(BaselinePath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot read baseline '%s'\n",
-                 BaselinePath.c_str());
-    return 1;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::map<std::string, double> Baseline = parseBaseline(Buf.str());
-  if (Baseline.empty()) {
-    std::fprintf(stderr, "error: no workload records in baseline '%s'\n",
-                 BaselinePath.c_str());
-    return 1;
-  }
-
-  int Failures = 0;
-  for (const WorkloadTiming &W : Workloads) {
-    auto It = Baseline.find(W.Name);
-    if (It == Baseline.end()) {
-      // New workloads have no recorded reference yet; report, don't fail.
-      std::printf("baseline check: %-12s no baseline entry, skipped\n",
-                  W.Name.c_str());
-      continue;
-    }
-    double Limit = It->second * Ceiling;
-    bool Ok = W.WallSec <= Limit;
-    std::printf("baseline check: %-12s %8.2f ms vs limit %8.2f ms "
-                "(%.2fx baseline) %s\n",
-                W.Name.c_str(), W.WallSec * 1e3, Limit * 1e3,
-                It->second > 0 ? W.WallSec / It->second : 0.0,
-                Ok ? "ok" : "FAIL");
-    if (!Ok)
-      ++Failures;
-  }
-  if (Failures) {
-    std::fprintf(stderr,
-                 "error: %d workload(s) exceeded %.1fx the recorded "
-                 "compile-time baseline\n",
-                 Failures, Ceiling);
-    return 1;
-  }
-  std::printf("baseline check passed (ceiling %.1fx)\n", Ceiling);
   return 0;
 }

@@ -85,8 +85,7 @@ ExhaustiveResult gdp::exhaustiveSearch(const PreparedProgram &PP,
     for (unsigned Obj = 0; Obj != N; ++Obj)
       Placement.setHome(Obj, static_cast<int>((Mask >> Obj) & 1));
     LockMap Locks = buildLockMap(P, Placement, PP.Prof);
-    ClusterAssignment CA =
-        runRHOP(*PP.Analyses, PP.Prof, MM, &Locks, Local.RhopOpt);
+    ClusterAssignment CA = runRHOP(*PP.Analyses, PP.Prof, MM, &Locks);
     ProgramSchedule PS = scheduleProgram(*PP.Analyses, PP.Prof, MM, CA);
 
     ExhaustivePoint &Pt = Result.Points[Mask];

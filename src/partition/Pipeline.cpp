@@ -31,9 +31,23 @@ const char *gdp::strategyName(StrategyKind K) {
   return "<bad>";
 }
 
+bool gdp::parseStrategyName(const std::string &Name, StrategyKind &Out) {
+  if (Name == "gdp")
+    Out = StrategyKind::GDP;
+  else if (Name == "profilemax")
+    Out = StrategyKind::ProfileMax;
+  else if (Name == "naive")
+    Out = StrategyKind::Naive;
+  else if (Name == "unified")
+    Out = StrategyKind::Unified;
+  else
+    return false;
+  return true;
+}
+
 PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
                                     bool CaptureTrace) {
-  telemetry::ScopedTimer Phase("pipeline.prepare");
+  telemetry::Span Phase("pipeline.prepare");
   auto Start = std::chrono::steady_clock::now();
   PreparedProgram PP;
   PP.P = &P;
@@ -45,7 +59,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   };
 
   {
-    telemetry::ScopedTimer T("pipeline.prepare.verify");
+    telemetry::Span T("pipeline.prepare.verify");
     VerifyResult VR = verifyProgram(P);
     if (!VR.ok()) {
       PP.Error = "verification failed:\n" + VR.message();
@@ -56,7 +70,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   }
 
   {
-    telemetry::ScopedTimer T("pipeline.prepare.points_to");
+    telemetry::Span T("pipeline.prepare.points_to");
     unsigned EmptyAccess = annotateMemoryAccesses(P);
     if (EmptyAccess != 0) {
       PP.Error = formatStr(
@@ -73,7 +87,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   }
 
   {
-    telemetry::ScopedTimer T("pipeline.prepare.profile");
+    telemetry::Span T("pipeline.prepare.profile");
     Interpreter Interp(P);
     if (CaptureTrace) {
       PP.Trace = std::make_shared<ExecTrace>();
@@ -91,7 +105,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
     PP.Prof.applyHeapSizes(P);
   }
   {
-    telemetry::ScopedTimer T("pipeline.prepare.analyses");
+    telemetry::Span T("pipeline.prepare.analyses");
     PP.Analyses = std::make_shared<const ProgramAnalyses>(P);
   }
   PP.Ok = true;
@@ -136,7 +150,7 @@ public:
 
 private:
   double &Into;
-  telemetry::ScopedTimer Scope;
+  telemetry::Span Scope;
   Clock::time_point Start;
   bool Stopped = false;
 };
@@ -166,17 +180,15 @@ objectAccessByCluster(const Program &P, const ProfileData &Prof,
 
 /// The unlocked (unified-memory) RHOP assignment of \p PP on \p MM, the
 /// first step of Unified, Naive and ProfileMax: computed once per prepared
-/// program, machine and options (partition/UnlockedRHOP.h).
+/// program and machine (partition/UnlockedRHOP.h).
 std::shared_ptr<const UnlockedRHOP> unlockedRHOP(const PreparedProgram &PP,
-                                                 const PipelineOptions &Opt,
                                                  const MachineModel &MM,
                                                  PipelineResult &R) {
   PhaseClock T(R.Phases.RhopSeconds, "pipeline.rhop");
   UnlockedRHOPTable Unshared; // For a preparation not made by prepareProgram.
   UnlockedRHOPTable &Table = PP.Unlocked ? *PP.Unlocked : Unshared;
-  return Table.get(MM, Opt.RhopOpt, [&] {
-    return runRHOP(*PP.Analyses, PP.Prof, MM, nullptr, Opt.RhopOpt);
-  });
+  return Table.get(
+      MM, [&] { return runRHOP(*PP.Analyses, PP.Prof, MM, nullptr); });
 }
 
 /// GDP with built-in recovery: an infeasible first cut is retried once
@@ -239,7 +251,7 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
       return R;
     }
     LockMap Locks = buildLockMap(*PP.P, R.Placement, PP.Prof);
-    R.Assignment = runRHOP(*PP.Analyses, PP.Prof, MM, &Locks, Opt.RhopOpt);
+    R.Assignment = runRHOP(*PP.Analyses, PP.Prof, MM, &Locks);
   }
   R.RHOPRuns = 1;
   return R;
@@ -254,7 +266,7 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
   unsigned NumClusters = MM.getNumClusters();
 
   // First detailed run: unified-memory assumption (no locks).
-  std::shared_ptr<const UnlockedRHOP> First = unlockedRHOP(PP, Opt, MM, R);
+  std::shared_ptr<const UnlockedRHOP> First = unlockedRHOP(PP, MM, R);
 
   PhaseClock PlacementClock(R.Phases.DataPartitionSeconds,
                             "pipeline.data_partition");
@@ -300,7 +312,7 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
                 return A.Total > B.Total;
               return A.Index < B.Index;
             });
-  double Cap = (1.0 + Opt.ProfileMaxBalanceTolerance) *
+  double Cap = (1.0 + ProfileMaxBalanceTolerance) *
                static_cast<double>(TotalBytes) / NumClusters;
   std::vector<uint64_t> ClusterBytes(NumClusters, 0);
   R.Placement = DataPlacement(P.getNumObjects());
@@ -335,21 +347,20 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
       return R;
     }
     LockMap Locks = buildLockMap(P, R.Placement, PP.Prof);
-    R.Assignment = runRHOP(*PP.Analyses, PP.Prof, MM, &Locks, Opt.RhopOpt);
+    R.Assignment = runRHOP(*PP.Analyses, PP.Prof, MM, &Locks);
   }
   R.RHOPRuns = 2;
   return R;
 }
 
 PipelineResult runNaiveStrategy(const PreparedProgram &PP,
-                                const PipelineOptions &Opt,
                                 const MachineModel &MM) {
   PipelineResult R;
   const Program &P = *PP.P;
   unsigned NumClusters = MM.getNumClusters();
 
   // Data-incognizant partitioning (unified-memory assumption).
-  R.Assignment = unlockedRHOP(PP, Opt, MM, R)->Assignment;
+  R.Assignment = unlockedRHOP(PP, MM, R)->Assignment;
   R.RHOPRuns = 1;
 
   PhaseClock PlacementClock(R.Phases.DataPartitionSeconds,
@@ -387,10 +398,9 @@ PipelineResult runNaiveStrategy(const PreparedProgram &PP,
 }
 
 PipelineResult runUnifiedStrategy(const PreparedProgram &PP,
-                                  const PipelineOptions &Opt,
                                   const MachineModel &MM) {
   PipelineResult R;
-  R.Assignment = unlockedRHOP(PP, Opt, MM, R)->Assignment;
+  R.Assignment = unlockedRHOP(PP, MM, R)->Assignment;
   R.RHOPRuns = 1;
   R.Placement = DataPlacement(PP.P->getNumObjects()); // All unplaced.
   return R;
@@ -461,10 +471,10 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
       A = runProfileMaxStrategy(PP, Opt, MM, AttemptFailed);
       break;
     case StrategyKind::Naive:
-      A = runNaiveStrategy(PP, Opt, MM);
+      A = runNaiveStrategy(PP, MM);
       break;
     case StrategyKind::Unified:
-      A = runUnifiedStrategy(PP, Opt, MM);
+      A = runUnifiedStrategy(PP, MM);
       break;
     }
     R.Phases.DataPartitionSeconds += A.Phases.DataPartitionSeconds;

@@ -57,18 +57,23 @@ enum class StrategyKind {
 /// Human-readable strategy name.
 const char *strategyName(StrategyKind K);
 
+/// Parses the lower-case spelling the CLI and the serve protocol use
+/// ("gdp", "profilemax", "naive", "unified") into \p Out. False, with
+/// \p Out untouched, for any other name.
+bool parseStrategyName(const std::string &Name, StrategyKind &Out);
+
+/// ProfileMax: objects spill to other clusters once the preferred memory
+/// exceeds (1 + this tolerance) × ideal bytes (paper §4.1: "a memory
+/// balance is kept by forcing objects to be placed in other clusters when
+/// the preferred memory reaches a certain threshold").
+constexpr double ProfileMaxBalanceTolerance = 0.125;
+
 /// Options controlling one pipeline evaluation.
 struct PipelineOptions {
   StrategyKind Strategy = StrategyKind::GDP;
   unsigned NumClusters = 2;
   unsigned MoveLatency = 5; ///< Paper default (§4.1).
   GDPOptions DataOpt;
-  RHOPOptions RhopOpt;
-  /// ProfileMax: objects spill to other clusters once the preferred
-  /// memory exceeds (1 + tolerance) × ideal bytes (paper §4.1: "a memory
-  /// balance is kept by forcing objects to be placed in other clusters
-  /// when the preferred memory reaches a certain threshold").
-  double ProfileMaxBalanceTolerance = 0.125;
   /// Optional fully custom machine (overrides NumClusters/MoveLatency).
   const MachineModel *Machine = nullptr;
   /// Optional evaluation budget, polled at phase boundaries (between
@@ -101,7 +106,7 @@ struct PreparedProgram {
   /// preparation failed.
   std::shared_ptr<const ProgramAnalyses> Analyses;
   /// The unlocked RHOP assignments Unified, Naive and ProfileMax start
-  /// from, computed once per machine and options and shared by every copy
+  /// from, computed once per machine and shared by every copy
   /// (partition/UnlockedRHOP.h). Attached by prepareProgram on success.
   std::shared_ptr<UnlockedRHOPTable> Unlocked;
 };

@@ -442,13 +442,12 @@ void runRegion(const BlockDFG &DFG, RegionPlan &Plan, const MachineModel &MM,
 
 ClusterAssignment gdp::runRHOP(const ProgramAnalyses &PA,
                                const ProfileData &Prof,
-                               const MachineModel &MM, const LockMap *Locks,
-                               const RHOPOptions &Opt) {
+                               const MachineModel &MM, const LockMap *Locks) {
   (void)Prof; // Frequencies shape the program-level pass; regions are
               // independent here (each block optimized on its own).
   const Program &P = PA.program();
   ClusterAssignment CA(P);
-  Random RNG(Opt.Seed);
+  Random RNG(/*Seed=*/1);
   RhopStats RS;
 
   // Region plans, estimator tables, and refinement scratch all live on

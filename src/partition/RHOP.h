@@ -32,19 +32,10 @@
 #include "sched/BlockDFG.h"
 #include "sched/ClusterAssignment.h"
 
-#include <cstdint>
-
 namespace gdp {
 
 class MachineModel;
 class ProfileData;
-
-/// Tuning knobs for the RHOP pass.
-struct RHOPOptions {
-  uint64_t Seed = 1;
-
-  bool operator==(const RHOPOptions &O) const = default;
-};
 
 /// Partitions every operation of \p PA's program across the clusters of
 /// \p MM, over the region DFGs \p PA holds (sched/BlockDFG.h).
@@ -53,8 +44,7 @@ struct RHOPOptions {
 ///        (memory operations pinned to object home clusters); pass null
 ///        for the unified-memory mode where every operation is free.
 ClusterAssignment runRHOP(const ProgramAnalyses &PA, const ProfileData &Prof,
-                          const MachineModel &MM, const LockMap *Locks,
-                          const RHOPOptions &Opt = RHOPOptions());
+                          const MachineModel &MM, const LockMap *Locks);
 
 } // namespace gdp
 

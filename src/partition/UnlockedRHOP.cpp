@@ -7,9 +7,9 @@
 using namespace gdp;
 
 std::shared_ptr<const UnlockedRHOP>
-UnlockedRHOPTable::get(const MachineModel &MM, const RHOPOptions &Opt,
+UnlockedRHOPTable::get(const MachineModel &MM,
                        const std::function<ClusterAssignment()> &Run) {
-  auto SameKey = [&](const Slot &S) { return S.Opt == Opt && S.MM == MM; };
+  auto SameKey = [&](const Slot &S) { return S.MM == MM; };
   std::promise<std::shared_ptr<const UnlockedRHOP>> Promise;
   std::shared_future<std::shared_ptr<const UnlockedRHOP>> F;
   bool Build = false;
@@ -21,7 +21,7 @@ UnlockedRHOPTable::get(const MachineModel &MM, const RHOPOptions &Opt,
       F = It->F;
     } else {
       F = Promise.get_future().share();
-      Slots.push_front({MM, Opt, F});
+      Slots.push_front({MM, F});
       // An evicted slot still in flight completes for its waiters, who
       // hold the future.
       if (Slots.size() > Capacity)

@@ -7,11 +7,11 @@
 /// \file
 /// Unified, Naive and ProfileMax's first pass (paper Table 1) all run RHOP
 /// with no locks, the unified-memory assumption, on the same program,
-/// profile, machine and options, so they all compute the same assignment.
+/// profile and machine, so they all compute the same assignment.
 /// prepareProgram attaches one UnlockedRHOPTable to every prepared program.
 /// Copies of the preparation, PreparedProgramCache entries and gdpd's warm
-/// cache all share it, and each (machine, RHOPOptions) slot is computed
-/// once, by its first caller, behind a shared_future.
+/// cache all share it, and each machine's slot is computed once, by its
+/// first caller, behind a shared_future.
 ///
 /// Records stay byte-identical whichever caller ran first: a slot keeps
 /// the telemetry its run recorded (the rhop.* and arena.* counters and the
@@ -49,19 +49,18 @@ struct UnlockedRHOP {
 };
 
 /// Thread-safe, bounded table of unlocked RHOP results for one prepared
-/// program, keyed by machine and options.
+/// program, keyed by machine.
 class UnlockedRHOPTable {
 public:
   /// Slots kept per prepared program.
   static constexpr size_t Capacity = 8;
 
-  /// The slot for (\p MM, \p Opt). The first caller computes it with
+  /// The slot for \p MM. The first caller computes it with
   /// \p Run under a private telemetry session; concurrent callers wait for
   /// that result. Every caller's installed session, if any, receives the
   /// slot's telemetry. Rethrows whatever \p Run threw.
   std::shared_ptr<const UnlockedRHOP>
-  get(const MachineModel &MM, const RHOPOptions &Opt,
-      const std::function<ClusterAssignment()> &Run);
+  get(const MachineModel &MM, const std::function<ClusterAssignment()> &Run);
 
   /// Resident slots.
   size_t size() const;
@@ -69,7 +68,6 @@ public:
 private:
   struct Slot {
     MachineModel MM;
-    RHOPOptions Opt;
     std::shared_future<std::shared_ptr<const UnlockedRHOP>> F;
   };
 

@@ -3,7 +3,6 @@
 #include "serve/Coordinator.h"
 
 #include "support/Budget.h"
-#include "support/MetricsHub.h"
 #include "support/StrUtil.h"
 
 #include <algorithm>
@@ -42,14 +41,6 @@ CoordinatorBackend::CoordinatorBackend(std::vector<support::SockAddr> Addrs,
     Health = std::thread([this] { healthLoop(); });
 }
 
-CoordinatorBackend::CoordinatorBackend(std::vector<support::SockAddr> Addrs,
-                                       int TimeoutMs)
-    : CoordinatorBackend(std::move(Addrs), [&] {
-        CoordinatorOptions O;
-        O.TimeoutMs = TimeoutMs;
-        return O;
-      }()) {}
-
 CoordinatorBackend::~CoordinatorBackend() {
   {
     std::lock_guard<std::mutex> Lock(HealthMu);
@@ -78,21 +69,13 @@ CoordinatorBackend::replicasFor(const std::string &Key) const {
   return Chain;
 }
 
-void CoordinatorBackend::noteTransition(CircuitBreaker::Transition T,
-                                        size_t I) {
+void CoordinatorBackend::noteTransition(CircuitBreaker::Transition T) {
   using Tr = CircuitBreaker::Transition;
   if (T == Tr::None)
     return;
   Reg.addCounter(T == Tr::Opened ? "serve.breaker.open"
                                  : "serve.breaker.close",
                  1);
-  size_t Open = 0;
-  for (const auto &S : Shards)
-    if (S->Breaker.state() == CircuitBreaker::State::Open)
-      ++Open;
-  telemetry::MetricsHub::global().setGauge("serve.breaker.open_shards",
-                                           static_cast<double>(Open));
-  (void)I;
 }
 
 template <class Fn>
@@ -142,10 +125,10 @@ bool CoordinatorBackend::attemptShard(size_t I, const PartitionRequest &Req,
     Out.Body = std::move(Body);
   }
   if (!Transport && !retryableStatus(St)) {
-    noteTransition(S.Breaker.onSuccess(), I);
+    noteTransition(S.Breaker.onSuccess());
     return true;
   }
-  noteTransition(S.Breaker.onFailure(nowMs()), I);
+  noteTransition(S.Breaker.onFailure(nowMs()));
   Reg.addCounter(Transport ? "serve.retry.transport_errors"
                            : "serve.retry.status_errors",
                  1);
@@ -310,8 +293,7 @@ void CoordinatorBackend::healthLoop() {
                         : "serve.breaker.probe.fail",
                      1);
       noteTransition(Ok ? S.Breaker.onSuccess()
-                        : S.Breaker.onFailure(nowMs()),
-                     I);
+                        : S.Breaker.onFailure(nowMs()));
     }
     Lock.lock();
   }

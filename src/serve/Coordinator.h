@@ -26,8 +26,8 @@
 /// eligible request or the background health prober — succeeds. All of
 /// it is surfaced as `serve.retry.*` / `serve.failover.*` /
 /// `serve.breaker.*` counters and quantiles in the coordinator's stats
-/// snapshot, and as a live `serve.breaker.open_shards` gauge on the
-/// process MetricsHub.
+/// snapshot, with each shard's live breaker state as
+/// `serve.breaker.state.<i>`.
 ///
 /// Stats requests fan out: every shard returns its registry in the binary
 /// wire format and the coordinator merges them exactly (LogHistogram
@@ -86,9 +86,6 @@ public:
   /// request to a shard connects it).
   CoordinatorBackend(std::vector<support::SockAddr> Shards,
                      CoordinatorOptions Opt);
-
-  /// Compatibility constructor: defaults with a custom timeout.
-  CoordinatorBackend(std::vector<support::SockAddr> Shards, int TimeoutMs);
 
   ~CoordinatorBackend() override;
 
@@ -153,9 +150,8 @@ private:
   /// Milliseconds since construction (the breaker clock).
   double nowMs() const;
 
-  /// Books a breaker transition into the registry and refreshes the
-  /// open-shards gauge.
-  void noteTransition(CircuitBreaker::Transition T, size_t I);
+  /// Books a breaker transition into the registry.
+  void noteTransition(CircuitBreaker::Transition T);
 
   /// Pings shards whose breaker is due a half-open probe.
   void healthLoop();

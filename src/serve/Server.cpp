@@ -4,7 +4,7 @@
 
 #include "partition/PreparedCache.h"
 #include "support/FaultInjector.h"
-#include "support/MetricsHub.h"
+#include "support/Json.h"
 #include "support/StrUtil.h"
 
 #include <chrono>
@@ -59,7 +59,8 @@ std::string Server::pingBody() const {
       "{\"server\": \"gdpd\", \"role\": \"%s\", \"addr\": \"%s\", "
       "\"threads\": %u, \"max_inflight\": %llu, \"cache_capacity\": %llu, "
       "\"deterministic\": %s}\n",
-      B.role(), Listener.boundAddr().str().c_str(), Opt.Threads,
+      B.role(), support::json::escape(Listener.boundAddr().str()).c_str(),
+      Opt.Threads,
       static_cast<unsigned long long>(Opt.MaxInflight),
       static_cast<unsigned long long>(
           PreparedProgramCache::global().capacity()),
@@ -90,7 +91,7 @@ std::string Server::statsBody(StatsFormat Fmt, Status &S) {
   case StatsFormat::Json:
     return Snap.toJson();
   case StatsFormat::Prometheus:
-    return telemetry::MetricsHub::renderPrometheus(Snap);
+    return Snap.toPrometheus();
   case StatsFormat::Binary:
     return encodeRegistry(Snap);
   }
@@ -294,11 +295,9 @@ int Server::run() {
   for (auto &H : Handlers)
     H.wait();
 
-  // Flush: the cumulative serving registry becomes visible to the
-  // process-wide Prometheus surface exactly once, at exit.
+  // How the drain ended, for whoever holds the service after run().
   Svc.registry().addCounter(Clean ? "serve.drain.clean"
                                   : "serve.drain.cancelled",
                             1);
-  telemetry::MetricsHub::global().publish(Svc.registry());
   return Clean ? 0 : 3;
 }

@@ -12,7 +12,7 @@
 /// and a structured diagnostic, never queued unboundedly) and a graceful
 /// drain behind (stop accepting, let in-flight requests finish within the
 /// drain deadline, cancel stragglers through their evaluation budgets,
-/// publish metrics, exit).
+/// exit).
 ///
 /// What a request *does* is a `Backend` decision: a shard executes it
 /// locally (`LocalBackend`, wrapping `Service`); a coordinator hashes the

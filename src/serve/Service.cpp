@@ -6,6 +6,7 @@
 #include "ir/IRParser.h"
 #include "partition/Pipeline.h"
 #include "partition/PreparedCache.h"
+#include "support/Json.h"
 #include "support/StrUtil.h"
 #include "support/Telemetry.h"
 #include "workloads/Workloads.h"
@@ -20,20 +21,6 @@ using support::errorDiag;
 using support::StatusCode;
 
 namespace {
-
-bool parseStrategy(const std::string &Name, StrategyKind &Out) {
-  if (Name == "gdp")
-    Out = StrategyKind::GDP;
-  else if (Name == "profilemax")
-    Out = StrategyKind::ProfileMax;
-  else if (Name == "naive")
-    Out = StrategyKind::Naive;
-  else if (Name == "unified")
-    Out = StrategyKind::Unified;
-  else
-    return false;
-  return true;
-}
 
 /// Builds the program named by \p Req without touching the filesystem:
 /// inline IR parses directly; otherwise the spec must be a gen: spec or a
@@ -74,36 +61,6 @@ std::unique_ptr<Program> buildRequestProgram(const PartitionRequest &Req,
   return nullptr;
 }
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatStr("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
 } // namespace
 
 PartitionOutcome Service::partition(const PartitionRequest &Req,
@@ -111,7 +68,7 @@ PartitionOutcome Service::partition(const PartitionRequest &Req,
   PartitionOutcome Out;
 
   StrategyKind Strategy;
-  if (!parseStrategy(Req.Strategy, Strategy)) {
+  if (!parseStrategyName(Req.Strategy, Strategy)) {
     Out.S = Status::BadRequest;
     Out.Body = diagsBody({errorDiag(StatusCode::UsageError, "serve.request",
                                     "unknown strategy (expected gdp, "
@@ -137,7 +94,7 @@ PartitionOutcome Service::partition(const PartitionRequest &Req,
     // A program that fails to load caches as a failed preparation that
     // carries the load diagnostics, so a repeated bad request is a hit.
     Prep = PreparedProgramCache::global().get(
-        Req.key(), Opt.MaxPrepareSteps, /*CaptureTrace=*/false,
+        Req.key(), /*MaxSteps=*/200000000ULL, /*CaptureTrace=*/false,
         [&Req](std::vector<Diag> &LoadDiags) {
           return buildRequestProgram(Req, LoadDiags);
         });
@@ -188,7 +145,8 @@ PartitionOutcome Service::partition(const PartitionRequest &Req,
   double PrepareSec = Opt.Deterministic ? 0 : Prep->PP.PrepareSeconds;
   double PartitionSec = Opt.Deterministic ? 0 : R.PartitionSeconds;
   std::string Body = "{";
-  Body += formatStr("\"spec\": \"%s\"", jsonEscape(Req.key()).c_str());
+  Body += formatStr("\"spec\": \"%s\"",
+                    support::json::escape(Req.key()).c_str());
   Body += formatStr(", \"strategy\": \"%s\"",
                     strategyName(R.RequestedStrategy));
   Body += formatStr(", \"effective_strategy\": \"%s\"",

@@ -40,8 +40,6 @@ namespace serve {
 struct ServiceOptions {
   /// Deadline applied when a request carries none (0 = unlimited).
   uint64_t DefaultDeadlineMs = 0;
-  /// Profiling interpreter step cap for preparation (gdptool's default).
-  uint64_t MaxPrepareSteps = 200000000ULL;
   /// Zero wall-clock fields in response bodies — responses for the same
   /// request become byte-identical (the serving determinism contract).
   bool Deterministic = false;

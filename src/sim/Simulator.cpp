@@ -78,7 +78,7 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
                              const ClusterAssignment &CA,
                              const ProgramSchedule &Schedule,
                              const DataPlacement &Placement) {
-  telemetry::ScopedTimer Timer("sim.run");
+  telemetry::Span Timer("sim.run");
   const Program &P = PA.program();
   SimResult R;
   unsigned NumClusters = MM.getNumClusters();

@@ -8,10 +8,14 @@
 /// Just enough JSON for the tools that read this repo's own exports
 /// (bench records, stats files) and for test assertions: parses a complete
 /// document into a tree of JVal nodes or reports the first syntax error.
-/// Numbers are kept as doubles; no \uXXXX decoding (the exporters never
-/// emit it). Originally tests/TestJson.h; promoted here so `bench_diff`
-/// and `gdptool report` can consume benchmark records without a JSON
-/// dependency.
+/// Numbers are kept as doubles; `\uXXXX` escapes decode only below 0x80,
+/// which covers every one escape() writes. Originally tests/TestJson.h;
+/// promoted here so `bench_diff` and `gdptool report` can consume
+/// benchmark records without a JSON dependency.
+///
+/// escape() is the one JSON string escaper every exporter uses (stats,
+/// traces, diagnostics, serve bodies, bench records), so whatever they
+/// write, parse() reads back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +23,7 @@
 #define GDP_SUPPORT_JSON_H
 
 #include <cctype>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -131,6 +136,10 @@ private:
         case 'r': Out += '\r'; break;
         case 'b': Out += '\b'; break;
         case 'f': Out += '\f'; break;
+        case 'u':
+          if (!unicode(Out))
+            return false;
+          break;
         default: return fail("unsupported escape");
         }
       } else {
@@ -140,6 +149,20 @@ private:
     if (Pos >= S.size())
       return fail("unterminated string");
     ++Pos; // closing quote
+    return true;
+  }
+
+  /// The four hex digits after `\u`, appended to \p Out as one byte.
+  bool unicode(std::string &Out) {
+    for (size_t I = 0; I != 4; ++I)
+      if (Pos + I >= S.size() ||
+          !std::isxdigit(static_cast<unsigned char>(S[Pos + I])))
+        return fail("malformed \\u escape");
+    unsigned long CP = std::stoul(S.substr(Pos, 4), nullptr, 16);
+    if (CP >= 0x80)
+      return fail("unsupported \\u escape (non-ASCII)");
+    Pos += 4;
+    Out += static_cast<char>(CP);
     return true;
   }
 
@@ -230,6 +253,43 @@ private:
   const std::string &S;
   size_t Pos = 0;
 };
+
+/// \p S as the body of a JSON string literal (no surrounding quotes):
+/// `"`, `\` and newline, tab and carriage return get their short escapes,
+/// every other byte below 0x20 becomes `\u00xx`, and all other bytes pass
+/// through unchanged.
+inline std::string escape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size() + 2);
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out;
+}
 
 /// Parses \p Text; returns false and fills \p Error on failure.
 inline bool parse(const std::string &Text, JVal &Out, std::string &Error) {

@@ -2,12 +2,14 @@
 
 #include "support/StatsRegistry.h"
 
+#include "support/Json.h"
 #include "support/StrUtil.h"
 
 #include <cmath>
 
 using namespace gdp;
 using namespace gdp::telemetry;
+using gdp::support::json::escape;
 
 void StatsRegistry::addCounter(const std::string &Name, uint64_t Delta) {
   std::lock_guard<std::mutex> Lock(Mu);
@@ -128,44 +130,12 @@ void StatsRegistry::reset() {
 
 namespace {
 
-/// JSON string escaping for statistic names (ASCII identifiers in
-/// practice, but exported files must stay well-formed regardless).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatStr("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
-std::string jsonNumber(double V) {
+/// Round-trippable number rendering shared by both exports; non-finite
+/// values render as 0 so neither format ever carries NaN or inf.
+std::string formatNumber(double V) {
   if (!std::isfinite(V))
     return "0";
-  // Round-trippable and compact; trailing-zero trimming keeps files tidy.
-  std::string S = formatStr("%.17g", V);
-  return S;
+  return formatStr("%.17g", V);
 }
 
 } // namespace
@@ -176,7 +146,7 @@ std::string StatsRegistry::toJson() const {
   bool First = true;
   for (const auto &[Name, V] : Counters) {
     Out += First ? "\n" : ",\n";
-    Out += formatStr("    \"%s\": %llu", jsonEscape(Name).c_str(),
+    Out += formatStr("    \"%s\": %llu", escape(Name).c_str(),
                      static_cast<unsigned long long>(V));
     First = false;
   }
@@ -187,9 +157,9 @@ std::string StatsRegistry::toJson() const {
     Out += formatStr(
         "    \"%s\": {\"count\": %llu, \"sum\": %s, \"min\": %s, "
         "\"max\": %s, \"mean\": %s}",
-        jsonEscape(Name).c_str(), static_cast<unsigned long long>(V.Count),
-        jsonNumber(V.Sum).c_str(), jsonNumber(V.Min).c_str(),
-        jsonNumber(V.Max).c_str(), jsonNumber(V.mean()).c_str());
+        escape(Name).c_str(), static_cast<unsigned long long>(V.Count),
+        formatNumber(V.Sum).c_str(), formatNumber(V.Min).c_str(),
+        formatNumber(V.Max).c_str(), formatNumber(V.mean()).c_str());
     First = false;
   }
   Out += "\n  },\n  \"quantiles\": {";
@@ -199,20 +169,59 @@ std::string StatsRegistry::toJson() const {
     Out += formatStr(
         "    \"%s\": {\"count\": %llu, \"p50\": %s, \"p90\": %s, "
         "\"p99\": %s}",
-        jsonEscape(Name).c_str(), static_cast<unsigned long long>(V.count()),
-        jsonNumber(V.quantile(0.5)).c_str(),
-        jsonNumber(V.quantile(0.9)).c_str(),
-        jsonNumber(V.quantile(0.99)).c_str());
+        escape(Name).c_str(), static_cast<unsigned long long>(V.count()),
+        formatNumber(V.quantile(0.5)).c_str(),
+        formatNumber(V.quantile(0.9)).c_str(),
+        formatNumber(V.quantile(0.99)).c_str());
     First = false;
   }
   Out += "\n  },\n  \"timers_sec\": {";
   First = true;
   for (const auto &[Name, V] : Timers) {
     Out += First ? "\n" : ",\n";
-    Out += formatStr("    \"%s\": %s", jsonEscape(Name).c_str(),
-                     jsonNumber(V).c_str());
+    Out += formatStr("    \"%s\": %s", escape(Name).c_str(),
+                     formatNumber(V).c_str());
     First = false;
   }
   Out += "\n  }\n}\n";
+  return Out;
+}
+
+std::string StatsRegistry::prometheusName(const std::string &Name) {
+  std::string Out = "gdp_";
+  for (char C : Name) {
+    bool Ok = (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+              (C >= '0' && C <= '9') || C == '_' || C == ':';
+    Out += Ok ? C : '_';
+  }
+  return Out;
+}
+
+std::string StatsRegistry::toPrometheus(bool IncludeTimers) const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  std::string Out;
+  for (const auto &[Name, V] : Counters) {
+    std::string M = prometheusName(Name);
+    Out += formatStr("# TYPE %s counter\n%s %llu\n", M.c_str(), M.c_str(),
+                     static_cast<unsigned long long>(V));
+  }
+  for (const auto &[Name, V] : Values) {
+    std::string M = prometheusName(Name);
+    Out += formatStr("# TYPE %s summary\n", M.c_str());
+    auto It = Quantiles.find(Name);
+    if (It != Quantiles.end())
+      for (double Q : {0.5, 0.9, 0.99})
+        Out += formatStr("%s{quantile=\"%g\"} %s\n", M.c_str(), Q,
+                         formatNumber(It->second.quantile(Q)).c_str());
+    Out += formatStr("%s_sum %s\n%s_count %llu\n", M.c_str(),
+                     formatNumber(V.Sum).c_str(), M.c_str(),
+                     static_cast<unsigned long long>(V.Count));
+  }
+  if (IncludeTimers)
+    for (const auto &[Name, V] : Timers) {
+      std::string M = prometheusName(Name) + "_seconds";
+      Out += formatStr("# TYPE %s counter\n%s %s\n", M.c_str(), M.c_str(),
+                       formatNumber(V).c_str());
+    }
   return Out;
 }

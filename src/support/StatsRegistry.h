@@ -12,7 +12,10 @@
 /// steps); timers hold wall-clock seconds and are kept separate so tests
 /// can compare the deterministic part of two runs exactly.
 ///
-/// Export is a flat JSON object with stable (sorted) key order.
+/// Export is a flat JSON object with stable (sorted) key order, or
+/// Prometheus text exposition (version 0.0.4): counters as `counter`,
+/// value series as `summary` with p50/p90/p99 quantile labels, timers as
+/// `_seconds` counters, names sanitized under a `gdp_` prefix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -131,6 +134,15 @@ public:
   /// max,mean}},"quantiles":{name:{count,p50,p90,p99}},"timers_sec":{...}}
   /// with keys in sorted order.
   std::string toJson() const;
+
+  /// Prometheus text exposition of the registry, metrics in sorted order
+  /// within each kind. \p IncludeTimers false drops the wall-clock timer
+  /// families, leaving only the deterministic part.
+  std::string toPrometheus(bool IncludeTimers = true) const;
+
+  /// `gdp_` + \p Name with every character outside [a-zA-Z0-9_:] mapped
+  /// to '_' — a valid Prometheus metric name.
+  static std::string prometheusName(const std::string &Name);
 
 private:
   mutable std::mutex Mu;

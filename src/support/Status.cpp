@@ -2,10 +2,12 @@
 
 #include "support/Status.h"
 
+#include "support/Json.h"
 #include "support/StrUtil.h"
 
 using namespace gdp;
 using namespace gdp::support;
+using gdp::support::json::escape;
 
 const char *gdp::support::statusCodeName(StatusCode C) {
   switch (C) {
@@ -92,37 +94,19 @@ std::string Diag::render() const {
   return Out;
 }
 
-namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
-}
-
-} // namespace
-
 std::string Diag::toJson() const {
   std::string Out = formatStr(
       "{\"code\": \"%s\", \"severity\": \"%s\", \"site\": \"%s\", "
       "\"message\": \"%s\"",
-      statusCodeName(Code), severityName(Sev), jsonEscape(Site).c_str(),
-      jsonEscape(Message).c_str());
+      statusCodeName(Code), severityName(Sev), escape(Site).c_str(),
+      escape(Message).c_str());
   if (!Context.empty()) {
     Out += ", \"context\": {";
     for (size_t I = 0; I != Context.size(); ++I) {
       if (I)
         Out += ", ";
-      Out += formatStr("\"%s\": \"%s\"", jsonEscape(Context[I].first).c_str(),
-                       jsonEscape(Context[I].second).c_str());
+      Out += formatStr("\"%s\": \"%s\"", escape(Context[I].first).c_str(),
+                       escape(Context[I].second).c_str());
     }
     Out += "}";
   }

@@ -7,9 +7,10 @@
 using namespace gdp;
 using namespace gdp::telemetry;
 
-thread_local TelemetrySession *gdp::telemetry::detail::Current = nullptr;
-thread_local uint64_t gdp::telemetry::detail::CurrentSpanId = 0;
-thread_local uint64_t gdp::telemetry::detail::InheritedSpanId = 0;
+constinit thread_local TelemetrySession *gdp::telemetry::detail::Current =
+    nullptr;
+constinit thread_local uint64_t gdp::telemetry::detail::CurrentSpanId = 0;
+constinit thread_local uint64_t gdp::telemetry::detail::InheritedSpanId = 0;
 
 TelemetrySession *gdp::telemetry::install(TelemetrySession *S) {
   TelemetrySession *Prev = detail::Current;

@@ -97,16 +97,20 @@ namespace detail {
 /// install one shard per task and merge them at join time, in input
 /// order, which keeps counters exact and deterministic (see
 /// docs/PARALLELISM.md).
-extern thread_local TelemetrySession *Current;
+///
+/// All three are constinit: with no dynamic initializer to run, GCC reads
+/// them directly instead of through a TLS wrapper function, which UBSan
+/// reports as a null-pointer load.
+extern constinit thread_local TelemetrySession *Current;
 
 /// Innermost live span on this thread (0 = none), in the id space of the
 /// installed session. Maintained by Span; saved/zeroed/restored by
 /// ScopedSession so a shard session never parents onto a foreign id.
-extern thread_local uint64_t CurrentSpanId;
+extern constinit thread_local uint64_t CurrentSpanId;
 
 /// The span context captured when the currently-executing ThreadPool task
 /// was submitted (0 = none). Set by the pool around task bodies.
-extern thread_local uint64_t InheritedSpanId;
+extern constinit thread_local uint64_t InheritedSpanId;
 } // namespace detail
 
 /// The session installed on this thread, or null when telemetry is off.
@@ -247,10 +251,6 @@ private:
   uint64_t Parent = 0;
   std::vector<TraceArg> Args;
 };
-
-/// Historical name for a plain span: every phase timer is a span now, so
-/// nested timers show their parentage in the trace.
-using ScopedTimer = Span;
 
 } // namespace telemetry
 } // namespace gdp

@@ -2,12 +2,14 @@
 
 #include "support/TraceEvent.h"
 
+#include "support/Json.h"
 #include "support/StrUtil.h"
 
 #include <thread>
 
 using namespace gdp;
 using namespace gdp::telemetry;
+using gdp::support::json::escape;
 
 namespace {
 
@@ -17,30 +19,6 @@ uint32_t currentTid() {
   static std::atomic<uint32_t> Next{0};
   thread_local uint32_t Tid = Next.fetch_add(1);
   return Tid;
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatStr("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
 }
 
 /// The event's `args` object: span identity first, then the attributes in
@@ -61,10 +39,10 @@ std::string argsJson(const TraceEvent &E) {
     Append(formatStr("\"task\": %d", E.TaskIndex));
   for (const TraceArg &A : E.Args) {
     if (A.IsString)
-      Append(formatStr("\"%s\": \"%s\"", jsonEscape(A.Key).c_str(),
-                       jsonEscape(A.Val).c_str()));
+      Append(formatStr("\"%s\": \"%s\"", escape(A.Key).c_str(),
+                       escape(A.Val).c_str()));
     else
-      Append(formatStr("\"%s\": %s", jsonEscape(A.Key).c_str(),
+      Append(formatStr("\"%s\": %s", escape(A.Key).c_str(),
                        A.Val.c_str()));
   }
   if (Out.empty())
@@ -179,7 +157,7 @@ std::string TraceRecorder::toJson() const {
       Out += formatStr(
           "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
           "\"ts\": %llu, \"dur\": %llu, \"pid\": 1, \"tid\": %u%s}",
-          jsonEscape(E.Name).c_str(), jsonEscape(E.Category).c_str(),
+          escape(E.Name).c_str(), escape(E.Category).c_str(),
           static_cast<unsigned long long>(E.TimestampUs),
           static_cast<unsigned long long>(E.DurationUs), E.Tid,
           argsJson(E).c_str());
@@ -187,7 +165,7 @@ std::string TraceRecorder::toJson() const {
       Out += formatStr(
           "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", "
           "\"ts\": %llu, \"s\": \"t\", \"pid\": 1, \"tid\": %u%s}",
-          jsonEscape(E.Name).c_str(), jsonEscape(E.Category).c_str(),
+          escape(E.Name).c_str(), escape(E.Category).c_str(),
           static_cast<unsigned long long>(E.TimestampUs), E.Tid,
           argsJson(E).c_str());
   }

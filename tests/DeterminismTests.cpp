@@ -14,7 +14,6 @@
 #include "bench/BenchCommon.h"
 #include "partition/Exhaustive.h"
 #include "partition/Pipeline.h"
-#include "support/MetricsHub.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
@@ -272,8 +271,7 @@ TEST(Determinism, QuantileAndPrometheusIdenticalAtEveryThreadCount) {
     for (const auto &S : Shards)
       Main.mergeFrom(*S);
     // Quantile values per metric plus the full deterministic exposition.
-    std::string Prom = telemetry::MetricsHub::renderPrometheus(
-        Main.stats(), /*IncludeTimers=*/false);
+    std::string Prom = Main.stats().toPrometheus(/*IncludeTimers=*/false);
     std::map<std::string, std::vector<double>> Qs;
     for (const auto &[Name, H] : Main.stats().quantileSnapshot())
       for (double Q : {0.5, 0.9, 0.99})

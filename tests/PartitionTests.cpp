@@ -324,10 +324,8 @@ TEST(RHOPTest, DeterministicForSeed) {
   PreparedProgram PP = prepareProgram(*P);
   ASSERT_TRUE(PP.Ok);
   MachineModel MM = MachineModel::makeDefault();
-  RHOPOptions Opt;
-  Opt.Seed = 5;
-  ClusterAssignment A = runRHOP(*P, PP.Prof, MM, nullptr, Opt);
-  ClusterAssignment B = runRHOP(*P, PP.Prof, MM, nullptr, Opt);
+  ClusterAssignment A = runRHOP(*P, PP.Prof, MM, nullptr);
+  ClusterAssignment B = runRHOP(*P, PP.Prof, MM, nullptr);
   EXPECT_EQ(A.func(0), B.func(0));
 }
 
@@ -387,11 +385,11 @@ TEST(PipelineTest, ProfileMaxRespectsByteThreshold) {
   ASSERT_TRUE(PP.Ok);
   PipelineOptions Opt;
   Opt.Strategy = StrategyKind::ProfileMax;
-  Opt.ProfileMaxBalanceTolerance = 0.30;
   PipelineResult R = runStrategy(PP, Opt);
   auto Bytes = R.Placement.bytesPerCluster(*P, 2);
   uint64_t Total = Bytes[0] + Bytes[1];
-  double Cap = (1.0 + 0.30) * static_cast<double>(Total) / 2.0;
+  double Cap =
+      (1.0 + ProfileMaxBalanceTolerance) * static_cast<double>(Total) / 2.0;
   EXPECT_LE(static_cast<double>(Bytes[0]), Cap + 256);
   EXPECT_LE(static_cast<double>(Bytes[1]), Cap + 256);
 }

@@ -246,36 +246,29 @@ TEST(RHOPSharing, TableIsBoundedAndEvictsLeastRecentlyUsed) {
   UnlockedRHOPTable Table;
   int Runs = 0;
   for (unsigned Lat = 1; Lat <= UnlockedRHOPTable::Capacity + 2; ++Lat) {
-    Table.get(machineAt(Lat), RHOPOptions(), countingRun(Runs));
+    Table.get(machineAt(Lat), countingRun(Runs));
     EXPECT_LE(Table.size(), UnlockedRHOPTable::Capacity);
   }
   EXPECT_EQ(Runs, static_cast<int>(UnlockedRHOPTable::Capacity) + 2);
   EXPECT_EQ(Table.size(), UnlockedRHOPTable::Capacity);
 
   // The newest machine is resident; the two oldest were evicted.
-  Table.get(machineAt(UnlockedRHOPTable::Capacity + 2), RHOPOptions(),
-            countingRun(Runs));
+  Table.get(machineAt(UnlockedRHOPTable::Capacity + 2), countingRun(Runs));
   EXPECT_EQ(Runs, static_cast<int>(UnlockedRHOPTable::Capacity) + 2);
-  Table.get(machineAt(1), RHOPOptions(), countingRun(Runs));
+  Table.get(machineAt(1), countingRun(Runs));
   EXPECT_EQ(Runs, static_cast<int>(UnlockedRHOPTable::Capacity) + 3);
-
-  // Options are part of the key too.
-  RHOPOptions Other;
-  Other.Seed = 7;
-  Table.get(machineAt(1), Other, countingRun(Runs));
-  EXPECT_EQ(Runs, static_cast<int>(UnlockedRHOPTable::Capacity) + 4);
 }
 
 TEST(RHOPSharing, ThrowingBuildPropagatesAndLeavesNoSlot) {
   UnlockedRHOPTable Table;
-  EXPECT_THROW(Table.get(machineAt(5), RHOPOptions(),
+  EXPECT_THROW(Table.get(machineAt(5),
                          []() -> ClusterAssignment {
                            throw std::runtime_error("rhop failed");
                          }),
                std::runtime_error);
   EXPECT_EQ(Table.size(), 0u);
   int Runs = 0;
-  Table.get(machineAt(5), RHOPOptions(), countingRun(Runs));
+  Table.get(machineAt(5), countingRun(Runs));
   EXPECT_EQ(Runs, 1) << "the next caller must rebuild the dropped slot";
   EXPECT_EQ(Table.size(), 1u);
 }
@@ -285,11 +278,11 @@ TEST(RHOPSharing, SlotTelemetryReachesEveryCaller) {
   // caller without a session records nothing and still gets the result.
   UnlockedRHOPTable Table;
   int Runs = 0;
-  Table.get(machineAt(5), RHOPOptions(), countingRun(Runs));
+  Table.get(machineAt(5), countingRun(Runs));
   for (int Caller = 0; Caller != 2; ++Caller) {
     telemetry::TelemetrySession S;
     telemetry::ScopedSession Scope(S);
-    Table.get(machineAt(5), RHOPOptions(), countingRun(Runs));
+    Table.get(machineAt(5), countingRun(Runs));
     EXPECT_EQ(S.stats().getCounter("test.runs"), 1u);
   }
   EXPECT_EQ(Runs, 1);

@@ -22,6 +22,7 @@
 #include "partition/Pipeline.h"
 #include "support/Budget.h"
 #include "support/FaultInjector.h"
+#include "support/Json.h"
 #include "support/Status.h"
 #include "workloads/Workloads.h"
 
@@ -162,6 +163,26 @@ TEST(StatusDiag, HelpersAndSeverities) {
             "budget_exhausted");
   EXPECT_EQ(std::string(support::severityName(Severity::Warning)),
             "warning");
+}
+
+TEST(StatusDiag, JsonEscapesEveryControlCharacter) {
+  // Messages and context values carry user input (specs, file names), so
+  // every byte below 0x20 must be escaped and read back unchanged.
+  const std::string Nasty = "q\" b\\ n\n t\t r\r c\x01 end";
+  Diag D = support::errorDiag(StatusCode::InputError, "serve.load", Nasty);
+  D.with("spec", Nasty);
+  for (const std::string &Json : {D.toJson(), support::diagsToJson({D})}) {
+    EXPECT_TRUE(std::none_of(Json.begin(), Json.end(),
+                             [](unsigned char C) { return C < 0x20; }))
+        << Json;
+    support::json::JVal Doc;
+    std::string Err;
+    ASSERT_TRUE(support::json::parse(Json, Doc, Err)) << Err << "\n" << Json;
+    const support::json::JVal &Obj =
+        Doc.K == support::json::JVal::Array ? Doc.Arr.at(0) : Doc;
+    EXPECT_EQ(Obj["message"].Str, Nasty);
+    EXPECT_EQ(Obj["context"]["spec"].Str, Nasty);
+  }
 }
 
 //===----------------------------------------------------------------------===//

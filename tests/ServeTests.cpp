@@ -25,6 +25,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -388,6 +389,30 @@ TEST(ServeService, FailedInlineIRIsCachedWithItsDiagnostics) {
   EXPECT_EQ(Svc.registry().getCounter("prepared_cache.hits"), 1u);
 }
 
+TEST(ServeService, ControlCharactersInSpecsGiveValidJsonBodies) {
+  // A spec is client bytes: the error body that quotes it back must still
+  // be one JSON document, and its `spec` context must read back verbatim.
+  Service Svc(ServiceOptions{});
+  for (const std::string &Spec : {std::string("gen:1\x01" "x"),
+                                  std::string("no\tsuch")}) {
+    PartitionRequest Req;
+    Req.Spec = Spec;
+    PartitionOutcome Out = Svc.partition(Req);
+    EXPECT_EQ(Out.S, Status::InputError) << Out.Body;
+    ASSERT_FALSE(Out.Body.empty());
+    EXPECT_EQ(Out.Body.back(), '\n');
+    std::string Doc = Out.Body.substr(0, Out.Body.size() - 1);
+    EXPECT_TRUE(std::none_of(Doc.begin(), Doc.end(),
+                             [](unsigned char C) { return C < 0x20; }))
+        << Doc;
+    testjson::JVal Parsed;
+    std::string Err;
+    ASSERT_TRUE(testjson::parse(Out.Body, Parsed, Err)) << Err << "\n" << Doc;
+    ASSERT_EQ(Parsed["diags"].Arr.size(), 1u);
+    EXPECT_EQ(Parsed["diags"].Arr[0]["context"]["spec"].Str, Spec);
+  }
+}
+
 TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
   // gdpd serves any move latency for a cached program, so one client can
   // ask for one program on endless machines. The program's unlocked-RHOP
@@ -402,7 +427,7 @@ TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
   // Resident slots of the warm cache's preparation of Spec.
   auto Slots = [&] {
     auto C = PreparedProgramCache::global().get(
-        Spec, SO.MaxPrepareSteps, /*CaptureTrace=*/false,
+        Spec, 200000000ULL, /*CaptureTrace=*/false,
         [](std::vector<support::Diag> &) { return nullptr; });
     return C->PP.Ok ? C->PP.Unlocked->size() : SIZE_MAX;
   };
@@ -431,7 +456,7 @@ TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
       ASSERT_TRUE(testjson::parse(Out.Body, Doc, Err)) << Err;
 
       auto P = gen::generateProgram(GO);
-      PreparedProgram PP = prepareProgram(*P, SO.MaxPrepareSteps);
+      PreparedProgram PP = prepareProgram(*P);
       PipelineOptions PO;
       PO.Strategy = Strategies[J].second;
       PO.MoveLatency = Latencies[I];
@@ -727,7 +752,9 @@ TEST(ServeCoordinator, RoutesAndMergesStatsExactly) {
   // hit and skew the exact-merge accounting below.
   const char *Specs[] = {"gen:101:60", "gen:103:60", "gen:107:60",
                          "gen:113:60"};
-  CoordinatorBackend Route({CL.Shard0.addr(), CL.Shard1.addr()}, 1000);
+  CoordinatorOptions RouteOpt;
+  RouteOpt.TimeoutMs = 1000;
+  CoordinatorBackend Route({CL.Shard0.addr(), CL.Shard1.addr()}, RouteOpt);
   uint64_t PerShard[2] = {0, 0};
   std::string Body;
   for (const char *Spec : Specs) {
@@ -781,7 +808,9 @@ TEST(ServeCoordinator, DeadShardIsUnavailableNotFatal) {
   Client C;
   ASSERT_TRUE(C.connect(Coord.addr(), 5000));
 
-  CoordinatorBackend Route({Shard0.addr(), DeadAddr}, 1000);
+  CoordinatorOptions RouteOpt;
+  RouteOpt.TimeoutMs = 1000;
+  CoordinatorBackend Route({Shard0.addr(), DeadAddr}, RouteOpt);
   // Find keys owned by each side.
   std::string LiveKey, DeadKey;
   for (int I = 0; I != 64 && (LiveKey.empty() || DeadKey.empty()); ++I) {

@@ -1,6 +1,7 @@
 //===- tests/SupportTests.cpp - Support library unit tests -------------------===//
 
 #include "support/Histogram.h"
+#include "support/Json.h"
 #include "support/Random.h"
 #include "support/StrUtil.h"
 #include "support/UnionFind.h"
@@ -235,4 +236,34 @@ TEST(HistogramTest, BucketsAndClamping) {
   EXPECT_EQ(H.bucketCount(2), 0u);
   EXPECT_EQ(H.bucketCount(3), 2u);
   EXPECT_DOUBLE_EQ(H.bucketLo(2), 0.5);
+}
+
+// --- Json -----------------------------------------------------------------
+
+TEST(JsonTest, ParsesUnicodeEscapes) {
+  support::json::JVal V;
+  std::string Err;
+  ASSERT_TRUE(support::json::parse("\"\\u0001\"", V, Err)) << Err;
+  EXPECT_EQ(V.Str, std::string(1, '\x01'));
+  ASSERT_TRUE(support::json::parse("\"a\\u001Fb\\u0041\"", V, Err)) << Err;
+  EXPECT_EQ(V.Str, "a\x1f" "bA");
+  EXPECT_FALSE(support::json::parse("\"\\u00g1\"", V, Err));
+  EXPECT_FALSE(support::json::parse("\"\\u01\"", V, Err));
+  EXPECT_FALSE(support::json::parse("\"\\u00e9\"", V, Err))
+      << "non-ASCII escapes are not decoded";
+}
+
+TEST(JsonTest, EscapeRoundTripsEveryByte) {
+  std::string All;
+  for (int C = 1; C != 256; ++C)
+    All += static_cast<char>(C);
+  std::string Lit = "\"" + support::json::escape(All) + "\"";
+  for (char C : Lit)
+    EXPECT_GE(static_cast<unsigned char>(C), 0x20u);
+  EXPECT_NE(Lit.find("\\t"), std::string::npos);
+  EXPECT_NE(Lit.find("\\u0001"), std::string::npos);
+  support::json::JVal V;
+  std::string Err;
+  ASSERT_TRUE(support::json::parse(Lit, V, Err)) << Err;
+  EXPECT_EQ(V.Str, All);
 }

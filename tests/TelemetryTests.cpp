@@ -177,10 +177,10 @@ TEST(Telemetry, ScopedTimerRecordsTraceAndTimer) {
   {
     ScopedSession Scope(S);
     {
-      ScopedTimer T("unit.phase");
+      Span T("unit.phase");
     }
     instant("unit.mark");
-    ScopedTimer Stopped("unit.early");
+    Span Stopped("unit.early");
     Stopped.stop();
     Stopped.stop(); // idempotent
   }
@@ -195,7 +195,7 @@ TEST(Telemetry, TraceJsonIsWellFormedTraceEventFormat) {
   {
     ScopedSession Scope(S);
     {
-      ScopedTimer T("phase \"one\"", "cat");
+      Span T("phase \"one\"", "cat");
     }
     instant("marker");
   }
@@ -302,7 +302,7 @@ TEST(Telemetry, DisabledFastPathAllocatesNothing) {
     counter("hot.counter", 3);
     value("hot.value", 1.5);
     instant("hot.marker");
-    ScopedTimer T("hot.phase");
+    Span T("hot.phase");
     // Spans with attributes must be equally free when no session is
     // installed: attr() formats only behind the enabled check.
     Span Sp("hot.span", "cat");

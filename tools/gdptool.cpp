@@ -35,7 +35,6 @@
 #include "serve/Daemon.h"
 #include "sim/Simulator.h"
 #include "support/FaultInjector.h"
-#include "support/MetricsHub.h"
 #include "support/Status.h"
 #include "support/StrUtil.h"
 #include "support/Telemetry.h"
@@ -210,18 +209,20 @@ public:
     Scope.reset(); // Uninstall before exporting.
     if (!Session)
       return;
-    // The finished session feeds the process-wide hub — the same flow a
-    // long-running gdpd would use per request; --prometheus then snapshots
-    // the hub the way its --stats endpoint will.
-    telemetry::MetricsHub::global().publish(*Session);
     bool WroteOk = true;
     if (!StatsPath.empty())
       WroteOk &= writeFile(StatsPath, Session->stats().toJson());
     if (!TracePath.empty())
       WroteOk &= writeFile(TracePath, Session->trace().toJson());
-    if (!PrometheusPath.empty())
-      WroteOk &= writeFile(PrometheusPath,
-                           telemetry::MetricsHub::global().toPrometheus());
+    if (!PrometheusPath.empty()) {
+      // The arena gauge depends on the process's warm history, so it is
+      // appended here and never enters session stats.
+      std::string Prom = Session->stats().toPrometheus();
+      Prom += formatStr("# TYPE gdp_arena_blocks gauge\n"
+                        "gdp_arena_blocks %lld\n",
+                        static_cast<long long>(support::processArenaBlocks()));
+      WroteOk &= writeFile(PrometheusPath, Prom);
+    }
     if (!WroteOk)
       std::exit(1);
   }
@@ -420,14 +421,9 @@ std::vector<StrategyKind> parseStrategies(const std::string &StrategyArg) {
   if (StrategyArg == "all" || StrategyArg.empty())
     return {StrategyKind::Unified, StrategyKind::GDP,
             StrategyKind::ProfileMax, StrategyKind::Naive};
-  if (StrategyArg == "gdp")
-    return {StrategyKind::GDP};
-  if (StrategyArg == "profilemax")
-    return {StrategyKind::ProfileMax};
-  if (StrategyArg == "naive")
-    return {StrategyKind::Naive};
-  if (StrategyArg == "unified")
-    return {StrategyKind::Unified};
+  StrategyKind K;
+  if (parseStrategyName(StrategyArg, K))
+    return {K};
   return {};
 }
 
@@ -880,6 +876,14 @@ int cmdDot(const std::string &Spec) {
 
 int cmdSchedule(const std::string &Spec, const std::string &StrategyArg,
                 unsigned Latency, unsigned Clusters) {
+  // One block schedule per call: `all` (the default) shows GDP's.
+  PipelineOptions Opt;
+  if (StrategyArg != "all" && !StrategyArg.empty() &&
+      !parseStrategyName(StrategyArg, Opt.Strategy)) {
+    std::fprintf(stderr, "error: unknown strategy '%s'\n",
+                 StrategyArg.c_str());
+    return 1;
+  }
   auto C = loadPrepared(Spec);
   if (!C->Prog)
     return 2;
@@ -887,11 +891,6 @@ int cmdSchedule(const std::string &Spec, const std::string &StrategyArg,
   if (!PP.Ok)
     return reportPrepareFailure(PP);
   const Program &P = *C->Prog;
-  PipelineOptions Opt;
-  Opt.Strategy = StrategyArg == "unified"     ? StrategyKind::Unified
-                 : StrategyArg == "naive"     ? StrategyKind::Naive
-                 : StrategyArg == "profilemax" ? StrategyKind::ProfileMax
-                                               : StrategyKind::GDP;
   Opt.MoveLatency = Latency;
   Opt.NumClusters = Clusters;
   PipelineResult R = runStrategy(PP, Opt);
