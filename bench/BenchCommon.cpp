@@ -9,10 +9,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <fstream>
 #include <map>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -95,57 +93,42 @@ const support::FaultPlan *benchFaultPlan() {
                            : support::FaultPlan::fromEnv();
 }
 
-/// The fault-scope name of one matrix cell ("bench|Strategy|latN"). One
-/// scope per cell means an injected fault fires in exactly the same cells
-/// at any thread count (the determinism contract in
-/// support/FaultInjector.h), and a `@filter` rule can single a cell out.
+/// The fault-scope name of one matrix cell ("bench|Strategy|latN"), also
+/// its --json dedup key. One scope per cell means an injected fault fires
+/// in exactly the same cells at any thread count (the determinism contract
+/// in support/FaultInjector.h), and a `@filter` rule can single a cell
+/// out.
 std::string cellName(const EvalTask &T) {
   return T.Entry->Name + "|" + strategyName(T.Strategy) + "|lat" +
          std::to_string(T.MoveLatency);
 }
 
-/// Runs one strategy evaluation under its per-cell fault scope with task
-/// isolation: any exception — including an injected `pool.task` fault —
-/// becomes a Failed result with a task_failed diagnostic, and the rest of
-/// the matrix continues.
-PipelineResult evalCell(const EvalTask &T) {
-  support::FaultScope Scope(benchFaultPlan(), cellName(T));
-  try {
-    if (support::faultAt("pool.task"))
-      throw support::FaultInjectedError("pool.task");
-    PipelineOptions Opt;
-    Opt.Strategy = T.Strategy;
-    Opt.MoveLatency = T.MoveLatency;
-    return runStrategy(T.Entry->PP, Opt);
-  } catch (const std::exception &E) {
-    PipelineResult R;
-    R.RequestedStrategy = T.Strategy;
-    R.EffectiveStrategy = T.Strategy;
-    R.Failed = true;
-    R.Diags.push_back(support::errorDiag(support::StatusCode::TaskFailed,
-                                         "bench.task", E.what()));
-    return R;
+/// Evaluates \p Tasks through the driver on threads() threads, each cell
+/// under its own fault scope.
+std::vector<CellResult> evaluate(const std::vector<EvalTask> &Tasks,
+                                 bool Simulate) {
+  std::vector<EvalCell> Cells(Tasks.size());
+  for (size_t I = 0; I != Tasks.size(); ++I) {
+    Cells[I].PP = &Tasks[I].Entry->PP;
+    Cells[I].Opt.Strategy = Tasks[I].Strategy;
+    Cells[I].Opt.MoveLatency = Tasks[I].MoveLatency;
+    Cells[I].Scope = cellName(Tasks[I]);
   }
+  return evaluateCells(Cells, threads(), benchFaultPlan(), Simulate);
 }
 
-/// One evaluation with a private telemetry session when records are being
-/// collected, so each record reflects exactly one run's counters. Safe on
-/// any thread (sessions are thread-local).
-PipelineResult evalOne(const EvalTask &T,
-                       std::unique_ptr<telemetry::TelemetrySession> *Out,
-                       int32_t TaskIndex = -1) {
-  if (!jsonEnabled())
-    return evalCell(T);
-  auto S = std::make_unique<telemetry::TelemetrySession>();
-  S->adoptTaskContext(telemetry::inheritedContext(), TaskIndex);
-  PipelineResult R;
-  {
-    telemetry::ScopedSession Scope(*S);
-    R = evalCell(T);
-  }
-  if (Out)
-    *Out = std::move(S);
-  return R;
+/// The --json record of one evaluated task.
+std::string taskRecord(const EvalTask &T, const CellResult &E,
+                       bool Deterministic) {
+  return formatRecord(T.Entry->Name, strategyName(T.Strategy), T.MoveLatency,
+                      E.R, T.Entry->PP.PrepareSeconds, *E.Shard,
+                      Deterministic);
+}
+
+/// The --json record of one evaluated and simulated task.
+std::string taskSimRecord(const EvalTask &T, const CellResult &E) {
+  return formatSimRecord(T.Entry->Name, strategyName(T.Strategy),
+                         T.MoveLatency, E.R, E.S);
 }
 
 /// The conditional robustness tail of a --json record: empty for a clean
@@ -221,17 +204,13 @@ void gdp::bench::setFaultPlanForTesting(const support::FaultPlan *Plan) {
   FaultPlanOverride = Plan;
 }
 
-bool gdp::bench::deterministicRecords() {
-  if (DeterministicFlag)
-    return true;
-  const char *Env = std::getenv("GDP_BENCH_DETERMINISTIC");
-  return Env && *Env && std::string(Env) != "0";
-}
+bool gdp::bench::deterministicRecords() { return DeterministicFlag; }
 
 std::string gdp::bench::formatRecord(
     const std::string &Benchmark, const std::string &Strategy,
-    unsigned MoveLatency, const PipelineResult &R,
-    const telemetry::TelemetrySession *Session, bool Deterministic) {
+    unsigned MoveLatency, const PipelineResult &R, double PrepareSeconds,
+    const telemetry::TelemetrySession &Shard, bool Deterministic) {
+  const telemetry::StatsRegistry &Stats = Shard.stats();
   std::string Rec = formatStr(
       "{\"benchmark\": \"%s\", \"strategy\": \"%s\", "
       "\"move_latency\": %u, %s, \"cycles\": %llu, \"dynamic_moves\": %llu, "
@@ -243,23 +222,20 @@ std::string gdp::bench::formatRecord(
       static_cast<unsigned long long>(R.Cycles),
       static_cast<unsigned long long>(R.DynamicMoves),
       static_cast<unsigned long long>(R.StaticMoves), R.RHOPRuns,
-      Deterministic ? 0.0 : R.Phases.PrepareSeconds,
-      Deterministic ? 0.0 : R.Phases.DataPartitionSeconds,
-      Deterministic ? 0.0 : R.Phases.RhopSeconds,
-      Deterministic ? 0.0 : R.Phases.ScheduleSeconds);
+      Deterministic ? 0.0 : PrepareSeconds,
+      Deterministic ? 0.0 : Stats.getTime("pipeline.data_partition"),
+      Deterministic ? 0.0 : Stats.getTime("pipeline.rhop"),
+      Deterministic ? 0.0 : Stats.getTime("pipeline.schedule"));
   Rec += statusFieldsJson(R);
-  if (Session) {
-    Rec += ", \"counters\": {";
-    bool First = true;
-    for (const auto &[Name, Value] : Session->stats().counterSnapshot()) {
-      Rec += formatStr("%s\"%s\": %llu", First ? "" : ", ",
-                       escape(Name).c_str(),
-                       static_cast<unsigned long long>(Value));
-      First = false;
-    }
-    Rec += "}";
+  Rec += ", \"counters\": {";
+  bool First = true;
+  for (const auto &[Name, Value] : Stats.counterSnapshot()) {
+    Rec += formatStr("%s\"%s\": %llu", First ? "" : ", ",
+                     escape(Name).c_str(),
+                     static_cast<unsigned long long>(Value));
+    First = false;
   }
-  Rec += "}";
+  Rec += "}}";
   return Rec;
 }
 
@@ -295,17 +271,6 @@ std::string gdp::bench::formatExhaustiveRecord(const std::string &Benchmark,
   return Rec;
 }
 
-void gdp::bench::recordResult(const std::string &Benchmark,
-                              const std::string &Strategy,
-                              unsigned MoveLatency, const PipelineResult &R,
-                              const telemetry::TelemetrySession *Session) {
-  if (!jsonEnabled())
-    return;
-  appendRecord(Benchmark + "|" + Strategy + "|" + std::to_string(MoveLatency),
-               formatRecord(Benchmark, Strategy, MoveLatency, R, Session,
-                            deterministicRecords()));
-}
-
 void gdp::bench::recordExhaustive(const std::string &Benchmark,
                                   unsigned MoveLatency,
                                   const ExhaustiveResult &R) {
@@ -329,7 +294,7 @@ std::vector<SuiteEntry> gdp::bench::loadSuite(bool CaptureTraces) {
         E.Name = W->Name;
         std::shared_ptr<const CachedPreparation> C =
             PreparedProgramCache::global().get(
-                W->Name, /*MaxSteps=*/200000000ULL, CaptureTraces,
+                W->Name, CaptureTraces,
                 [W](std::vector<support::Diag> &) { return W->Build(); });
         E.P = C->Prog;
         E.PP = C->PP;
@@ -347,64 +312,29 @@ std::vector<SuiteEntry> gdp::bench::loadSuite(bool CaptureTraces) {
 PipelineResult gdp::bench::run(const SuiteEntry &Entry,
                                StrategyKind Strategy,
                                unsigned MoveLatency) {
-  EvalTask T{&Entry, Strategy, MoveLatency};
-  std::unique_ptr<telemetry::TelemetrySession> S;
-  PipelineResult R = evalOne(T, &S);
-  recordResult(Entry.Name, strategyName(Strategy), MoveLatency, R, S.get());
-  return R;
+  return std::move(runMatrix({{&Entry, Strategy, MoveLatency}}).front().R);
 }
 
-std::vector<PipelineResult>
+std::vector<CellResult>
 gdp::bench::runMatrix(const std::vector<EvalTask> &Tasks) {
-  struct Evaluated {
-    PipelineResult R;
-    std::unique_ptr<telemetry::TelemetrySession> Session;
-  };
-  support::ThreadPool Pool(threads() - 1);
-  std::vector<size_t> Indices(Tasks.size());
-  std::iota(Indices.begin(), Indices.end(), 0);
-  std::vector<Evaluated> Evals = Pool.parallelMap(Indices, [&](size_t I) {
-    Evaluated E;
-    E.R = evalOne(Tasks[I], &E.Session, static_cast<int32_t>(I));
-    return E;
-  });
+  std::vector<CellResult> Evals = evaluate(Tasks, /*Simulate=*/false);
   // Records append on this thread, in input order: the file is identical
   // to a serial run's.
-  std::vector<PipelineResult> Results;
-  Results.reserve(Tasks.size());
-  for (size_t I = 0; I != Tasks.size(); ++I) {
-    recordResult(Tasks[I].Entry->Name, strategyName(Tasks[I].Strategy),
-                 Tasks[I].MoveLatency, Evals[I].R, Evals[I].Session.get());
-    Results.push_back(std::move(Evals[I].R));
-  }
-  return Results;
+  if (jsonEnabled())
+    for (size_t I = 0; I != Tasks.size(); ++I)
+      appendRecord(cellName(Tasks[I]),
+                   taskRecord(Tasks[I], Evals[I], deterministicRecords()));
+  return Evals;
 }
 
 std::vector<std::string>
 gdp::bench::runMatrixRecords(const std::vector<EvalTask> &Tasks) {
-  struct Evaluated {
-    PipelineResult R;
-    std::unique_ptr<telemetry::TelemetrySession> Session;
-  };
-  support::ThreadPool Pool(threads() - 1);
-  std::vector<size_t> Indices(Tasks.size());
-  std::iota(Indices.begin(), Indices.end(), 0);
-  std::vector<Evaluated> Evals = Pool.parallelMap(Indices, [&](size_t I) {
-    Evaluated E;
-    E.Session = std::make_unique<telemetry::TelemetrySession>();
-    E.Session->adoptTaskContext(telemetry::inheritedContext(),
-                                static_cast<int32_t>(I));
-    telemetry::ScopedSession Scope(*E.Session);
-    E.R = evalCell(Tasks[I]);
-    return E;
-  });
+  std::vector<CellResult> Evals = evaluate(Tasks, /*Simulate=*/false);
   std::vector<std::string> Records;
   Records.reserve(Tasks.size());
   for (size_t I = 0; I != Tasks.size(); ++I)
-    Records.push_back(formatRecord(
-        Tasks[I].Entry->Name, strategyName(Tasks[I].Strategy),
-        Tasks[I].MoveLatency, Evals[I].R, Evals[I].Session.get(),
-        /*Deterministic=*/true));
+    Records.push_back(
+        taskRecord(Tasks[I], Evals[I], /*Deterministic=*/true));
   return Records;
 }
 
@@ -453,42 +383,9 @@ std::string gdp::bench::formatSimRecord(const std::string &Benchmark,
   return Rec;
 }
 
-std::vector<SimEval>
+std::vector<CellResult>
 gdp::bench::runSimMatrix(const std::vector<EvalTask> &Tasks) {
-  support::ThreadPool Pool(threads() - 1);
-  std::vector<size_t> Indices(Tasks.size());
-  std::iota(Indices.begin(), Indices.end(), 0);
-  std::vector<SimEval> Evals = Pool.parallelMap(Indices, [&](size_t I) {
-    const EvalTask &T = Tasks[I];
-    // Same per-cell scope and isolation as evalCell(): a poisoned cell
-    // yields a failed record and the matrix continues.
-    support::FaultScope Scope(benchFaultPlan(), cellName(T));
-    SimEval E;
-    try {
-      if (support::faultAt("pool.task"))
-        throw support::FaultInjectedError("pool.task");
-      PipelineOptions Opt;
-      Opt.Strategy = T.Strategy;
-      Opt.MoveLatency = T.MoveLatency;
-      E.R = runStrategy(T.Entry->PP, Opt);
-      if (E.R.ok()) {
-        E.S = simulateStrategy(T.Entry->PP, E.R, Opt);
-      } else {
-        E.S.Error = "static evaluation failed; simulation skipped";
-        E.S.Diags.push_back(support::errorDiag(
-            support::StatusCode::TaskFailed, "sim", E.S.Error));
-      }
-    } catch (const std::exception &Ex) {
-      E.R.RequestedStrategy = T.Strategy;
-      E.R.EffectiveStrategy = T.Strategy;
-      E.R.Failed = true;
-      E.R.Diags.push_back(support::errorDiag(
-          support::StatusCode::TaskFailed, "bench.task", Ex.what()));
-      E.S.Ok = false;
-      E.S.Error = Ex.what();
-    }
-    return E;
-  });
+  std::vector<CellResult> Evals = evaluate(Tasks, /*Simulate=*/true);
   for (size_t I = 0; I != Tasks.size(); ++I) {
     const EvalTask &T = Tasks[I];
     if (!Evals[I].S.Ok)
@@ -496,23 +393,18 @@ gdp::bench::runSimMatrix(const std::vector<EvalTask> &Tasks) {
                    T.Entry->Name.c_str(), strategyName(T.Strategy),
                    Evals[I].S.Error.c_str());
     if (jsonEnabled())
-      appendRecord(T.Entry->Name + "|" + strategyName(T.Strategy) + "|" +
-                       std::to_string(T.MoveLatency) + "|sim",
-                   formatSimRecord(T.Entry->Name, strategyName(T.Strategy),
-                                   T.MoveLatency, Evals[I].R, Evals[I].S));
+      appendRecord(cellName(T) + "|sim", taskSimRecord(T, Evals[I]));
   }
   return Evals;
 }
 
 std::vector<std::string>
 gdp::bench::runSimMatrixRecords(const std::vector<EvalTask> &Tasks) {
-  std::vector<SimEval> Evals = runSimMatrix(Tasks);
+  std::vector<CellResult> Evals = runSimMatrix(Tasks);
   std::vector<std::string> Records;
   Records.reserve(Tasks.size());
   for (size_t I = 0; I != Tasks.size(); ++I)
-    Records.push_back(formatSimRecord(
-        Tasks[I].Entry->Name, strategyName(Tasks[I].Strategy),
-        Tasks[I].MoveLatency, Evals[I].R, Evals[I].S));
+    Records.push_back(taskSimRecord(Tasks[I], Evals[I]));
   return Records;
 }
 

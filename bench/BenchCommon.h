@@ -10,13 +10,14 @@
 /// paper-style tables. Every binary in bench/ regenerates one table or
 /// figure of the paper's evaluation (see DESIGN.md's experiment index).
 ///
-/// Evaluations go through `runMatrix()`, which executes independent
-/// (benchmark, strategy, latency) pipeline runs concurrently on a
-/// `support::ThreadPool` when more than one thread is configured
-/// (`GDP_THREADS` env or `--threads=N`). Results come back in input order
-/// and `--json` records are appended in input order, so every figure and
-/// record file is byte-identical at any thread count (the determinism
-/// contract in docs/PARALLELISM.md); only wall-clock fields vary, and
+/// Evaluations go through `runMatrix()`, which hands the independent
+/// (benchmark, strategy, latency) cells to `evaluateCells()`
+/// (sim/Evaluate.h): concurrently when more than one thread is configured
+/// (`GDP_THREADS` env or `--threads=N`), each cell with its own telemetry
+/// shard and fault scope. Results come back in input order and `--json`
+/// records are appended in input order, so every figure and record file is
+/// byte-identical at any thread count (the determinism contract in
+/// docs/PARALLELISM.md); only wall-clock fields vary, and
 /// `--deterministic` zeroes those too.
 ///
 //===----------------------------------------------------------------------===//
@@ -26,7 +27,7 @@
 
 #include "partition/Exhaustive.h"
 #include "partition/Pipeline.h"
-#include "sim/Simulator.h"
+#include "sim/Evaluate.h"
 #include "support/FaultInjector.h"
 #include "support/Histogram.h"
 #include "support/StrUtil.h"
@@ -67,8 +68,7 @@ struct EvalTask {
 ///   --threads=N      evaluate the matrix on N threads (default: the
 ///                    GDP_THREADS environment variable, else 1 = serial).
 ///   --deterministic  zero the wall-clock fields of --json records so two
-///                    runs compare byte-identical (also via the
-///                    GDP_BENCH_DETERMINISTIC=1 environment variable).
+///                    runs compare byte-identical.
 ///   --affinity[=V]   pin pool workers to cores (default: the GDP_AFFINITY
 ///                    environment variable, else off). V is 1/on/true or
 ///                    0/off/false; anything else is a UsageError (exit 2).
@@ -95,17 +95,18 @@ bool deterministicRecords();
 /// outlive every matrix run made while it is installed.
 void setFaultPlanForTesting(const support::FaultPlan *Plan);
 
-/// Formats one --json record. \p Session, when given, contributes its
-/// counters. When \p Deterministic, the *_sec wall-clock fields are
-/// written as 0 so records compare byte-identical across runs and thread
-/// counts (every other field is deterministic already). Degraded or
+/// Formats one --json record. The *_sec fields are \p PrepareSeconds and
+/// the phase timers of \p Shard, the evaluation's telemetry, which also
+/// contributes its counters. When \p Deterministic, the *_sec wall-clock
+/// fields are written as 0 so records compare byte-identical across runs
+/// and thread counts (every other field is deterministic already). Degraded or
 /// failed evaluations additionally carry status/requested_strategy/
 /// effective_strategy/fallbacks/diags fields (docs/OBSERVABILITY.md);
 /// clean records are byte-identical to the historic schema.
 std::string formatRecord(const std::string &Benchmark,
                          const std::string &Strategy, unsigned MoveLatency,
-                         const PipelineResult &R,
-                         const telemetry::TelemetrySession *Session,
+                         const PipelineResult &R, double PrepareSeconds,
+                         const telemetry::TelemetrySession &Shard,
                          bool Deterministic);
 
 /// Formats the --json record of one exhaustive search (fig9): best/worst
@@ -113,12 +114,6 @@ std::string formatRecord(const std::string &Benchmark,
 std::string formatExhaustiveRecord(const std::string &Benchmark,
                                    unsigned MoveLatency,
                                    const ExhaustiveResult &R);
-
-/// Appends one JSON record for an evaluation done outside run() (custom
-/// options, ablations). \p Session, when given, contributes its counters.
-void recordResult(const std::string &Benchmark, const std::string &Strategy,
-                  unsigned MoveLatency, const PipelineResult &R,
-                  const telemetry::TelemetrySession *Session = nullptr);
 
 /// Appends the JSON record of one exhaustive search.
 void recordExhaustive(const std::string &Benchmark, unsigned MoveLatency,
@@ -132,14 +127,15 @@ void recordExhaustive(const std::string &Benchmark, unsigned MoveLatency,
 std::vector<SuiteEntry> loadSuite(bool CaptureTraces = false);
 
 /// Convenience: runs \p Strategy on \p Entry at \p MoveLatency with
-/// default options, serially on the calling thread.
+/// default options, as a one-cell runMatrix() on the calling thread.
 PipelineResult run(const SuiteEntry &Entry, StrategyKind Strategy,
                    unsigned MoveLatency);
 
 /// Evaluates every task, concurrently when threads() > 1, and returns the
-/// results in input order. --json records are also appended in input
-/// order, so the record file is identical at any thread count.
-std::vector<PipelineResult> runMatrix(const std::vector<EvalTask> &Tasks);
+/// results (with each cell's telemetry shard) in input order. --json
+/// records are also appended in input order, so the record file is
+/// identical at any thread count.
+std::vector<CellResult> runMatrix(const std::vector<EvalTask> &Tasks);
 
 /// Like runMatrix(), but returns the deterministic-mode JSON record bytes
 /// of every task (exactly what --json --deterministic writes), whether or
@@ -147,12 +143,6 @@ std::vector<PipelineResult> runMatrix(const std::vector<EvalTask> &Tasks);
 /// across thread counts and repeated runs.
 std::vector<std::string>
 runMatrixRecords(const std::vector<EvalTask> &Tasks);
-
-/// One task's static evaluation next to its trace-driven simulation.
-struct SimEval {
-  PipelineResult R;
-  SimResult S;
-};
 
 /// Formats the --json record of one simulated evaluation: the static
 /// fields plus sim_* dynamic cycles, stall breakdown, event counts and
@@ -168,7 +158,7 @@ std::string formatSimRecord(const std::string &Benchmark,
 /// A failed cell (evaluation or simulation, including injected faults) is
 /// reported on stderr and recorded as {"status": "failed", ...}; the rest
 /// of the matrix continues.
-std::vector<SimEval> runSimMatrix(const std::vector<EvalTask> &Tasks);
+std::vector<CellResult> runSimMatrix(const std::vector<EvalTask> &Tasks);
 
 /// Like runSimMatrix(), but returns every task's deterministic JSON record
 /// bytes. DeterminismTests compares these across thread counts and runs.

@@ -88,6 +88,36 @@ bool flatten(const JVal &Doc, std::map<std::string, FlatRecord> &Out,
     }
     return true;
   }
+  if (Schema == "gdp-gen-scale-v1") {
+    // One record per (program size, thread count, strategy). Only the
+    // deterministic fields gate: the *_sec fields are wall clock, zeroed
+    // by gen_scale's --deterministic mode and machine-dependent otherwise.
+    if (!Doc.has("records") || Doc["records"].K != JVal::Array) {
+      Error = "gdp-gen-scale-v1 file has no \"records\" array";
+      return false;
+    }
+    for (const JVal &R : Doc["records"].Arr) {
+      if (R.K != JVal::Object || !R.has("ops") || !R.has("thread_runs"))
+        continue;
+      for (const JVal &T : R["thread_runs"].Arr) {
+        if (T.K != JVal::Object || !T.has("threads") ||
+            !T.has("strategies"))
+          continue;
+        for (const JVal &S : T["strategies"].Arr) {
+          if (S.K != JVal::Object || !S.has("strategy"))
+            continue;
+          FlatRecord &F = Out[formatStr("ops%.0f|threads%.0f|%s",
+                                        R["ops"].Num, T["threads"].Num,
+                                        S["strategy"].Str.c_str())];
+          for (const char *M :
+               {"cycles", "dyn_moves", "static_moves", "rhop_runs"})
+            if (S.has(M) && S[M].K == JVal::Number)
+              F.Metrics[M] = S[M].Num;
+        }
+      }
+    }
+    return true;
+  }
   if (Schema == "gdp-serve-v1") {
     // One record per file, keyed by cluster shape. Deterministic counts
     // only — throughput/latency are wall-clock (zeroed by the bench's

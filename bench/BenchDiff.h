@@ -7,7 +7,7 @@
 /// \file
 /// Compares two benchmark JSON files and flags per-metric regressions —
 /// the core of the `bench_diff` tool and the CI bench-regression gate
-/// (docs/OBSERVABILITY.md). Two schemas are understood:
+/// (docs/OBSERVABILITY.md). These schemas are understood:
 ///
 ///  * `gdp-bench-v1` (the harness's --json records): records are keyed by
 ///    benchmark|strategy|move_latency(|sim) and a fixed allowlist of
@@ -16,6 +16,11 @@
 ///  * `gdp-compile-speed-v1`: workloads are keyed by name and the
 ///    wall-clock `workload_wall_sec` is compared (callers pass a generous
 ///    tolerance — wall clocks are machine-dependent).
+///  * `gdp-gen-scale-v1` (bench/gen_scale): one record per
+///    ops|threads|strategy, comparing cycles, dyn_moves, static_moves and
+///    rhop_runs; the *_sec wall-clock fields are not compared.
+///  * `gdp-serve-v1` and `gdp-serve-chaos-v1` (bench/serve_load): one
+///    record per cluster shape, comparing request and failure counts.
 ///
 /// All compared metrics are lower-is-better. A metric regresses when
 ///   current > baseline * (1 + tolerance)  (or baseline is 0 and current

@@ -3,8 +3,9 @@
 // Times the *compiler itself* over the full Figure 7 matrix — every suite
 // workload under every strategy at one move latency — and breaks each
 // evaluation into its pipeline phases (prepare / data partition / RHOP /
-// schedule) from the telemetry phase timers. Emits a machine-readable
-// BENCH_compile.json (schema gdp-compile-speed-v1):
+// schedule) from the phase timers of the evaluation's telemetry shard.
+// Emits a machine-readable BENCH_compile.json (schema
+// gdp-compile-speed-v1):
 //
 //   compile_speed [--out=FILE] [--lat=N] [--affinity]
 //
@@ -65,6 +66,19 @@ double nowSec() {
       .count();
 }
 
+const StrategyKind Kinds[] = {StrategyKind::Unified, StrategyKind::GDP,
+                              StrategyKind::ProfileMax, StrategyKind::Naive};
+
+/// The Figure 7 matrix: every suite workload under every strategy.
+std::vector<EvalTask> matrixTasks(const std::vector<SuiteEntry> &Suite,
+                                  unsigned Latency) {
+  std::vector<EvalTask> Tasks;
+  for (const SuiteEntry &E : Suite)
+    for (StrategyKind K : Kinds)
+      Tasks.push_back({&E, K, Latency});
+  return Tasks;
+}
+
 std::string jsonDouble(double V) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.6f", V);
@@ -118,13 +132,7 @@ int runAffinityMatrix(const std::string &OutPath, unsigned Latency) {
          "tooling benchmark; not a paper figure");
 
   auto Suite = loadSuite();
-  const StrategyKind Kinds[] = {StrategyKind::Unified, StrategyKind::GDP,
-                                StrategyKind::ProfileMax,
-                                StrategyKind::Naive};
-  std::vector<EvalTask> Tasks;
-  for (const SuiteEntry &E : Suite)
-    for (StrategyKind K : Kinds)
-      Tasks.push_back({&E, K, Latency});
+  std::vector<EvalTask> Tasks = matrixTasks(Suite, Latency);
 
   std::vector<AffinityRun> Runs;
   std::vector<std::string> Reference;
@@ -229,31 +237,22 @@ int main(int argc, char **argv) {
   // cache and memory bandwidth and are not comparable run to run.
   setThreads(1);
   auto Suite = loadSuite();
+  std::vector<CellResult> Evals = runMatrix(matrixTasks(Suite, Latency));
 
-  const StrategyKind Kinds[] = {StrategyKind::Unified, StrategyKind::GDP,
-                                StrategyKind::ProfileMax,
-                                StrategyKind::Naive};
-
+  // Each evaluation's wall clock (its pipeline.strategy span) and phase
+  // times come from its own telemetry shard.
   std::vector<WorkloadTiming> Workloads;
   double TotalSec = 0;
+  size_t Next = 0;
   for (const SuiteEntry &E : Suite) {
     WorkloadTiming W;
     W.Name = E.Name;
     W.PrepareSec = E.PP.PrepareSeconds;
     for (StrategyKind K : Kinds) {
-      telemetry::TelemetrySession Session;
+      const telemetry::StatsRegistry &Stats = Evals[Next++].Shard->stats();
       StrategyTiming T;
       T.Name = strategyName(K);
-      PipelineOptions Opt;
-      Opt.Strategy = K;
-      Opt.MoveLatency = Latency;
-      double Begin = nowSec();
-      {
-        telemetry::ScopedSession Scope(Session);
-        runStrategy(E.PP, Opt);
-      }
-      T.WallSec = nowSec() - Begin;
-      const telemetry::StatsRegistry &Stats = Session.stats();
+      T.WallSec = Stats.getTime("pipeline.strategy");
       T.DataPartitionSec = Stats.getTime("pipeline.data_partition");
       T.RhopSec = Stats.getTime("pipeline.rhop");
       T.ScheduleSec = Stats.getTime("pipeline.schedule");

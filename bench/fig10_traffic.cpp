@@ -34,14 +34,14 @@ int main(int argc, char **argv) {
     for (StrategyKind K : {StrategyKind::Unified, StrategyKind::GDP,
                            StrategyKind::ProfileMax, StrategyKind::Naive})
       Tasks.push_back({&E, K, 5});
-  std::vector<PipelineResult> Results = runMatrix(Tasks);
+  std::vector<CellResult> Results = runMatrix(Tasks);
 
   size_t Next = 0;
   for (const SuiteEntry &E : Suite) {
-    uint64_t Unified = Results[Next++].DynamicMoves;
-    uint64_t GDPMoves = Results[Next++].DynamicMoves;
-    uint64_t PMMoves = Results[Next++].DynamicMoves;
-    uint64_t NaiveMoves = Results[Next++].DynamicMoves;
+    uint64_t Unified = Results[Next++].R.DynamicMoves;
+    uint64_t GDPMoves = Results[Next++].R.DynamicMoves;
+    uint64_t PMMoves = Results[Next++].R.DynamicMoves;
+    uint64_t NaiveMoves = Results[Next++].R.DynamicMoves;
     TotalUnified += Unified;
     TotalGDP += GDPMoves;
     TotalPM += PMMoves;

@@ -34,14 +34,14 @@ int main(int argc, char **argv) {
       Tasks.push_back({&E, StrategyKind::Unified, Lat});
       Tasks.push_back({&E, StrategyKind::Naive, Lat});
     }
-  std::vector<PipelineResult> Results = runMatrix(Tasks);
+  std::vector<CellResult> Results = runMatrix(Tasks);
 
   size_t Next = 0;
   for (const SuiteEntry &E : Suite) {
     std::vector<std::string> Row{E.Name};
     for (unsigned Lat : {1u, 5u, 10u}) {
-      uint64_t Unified = Results[Next++].Cycles;
-      uint64_t Naive = Results[Next++].Cycles;
+      uint64_t Unified = Results[Next++].R.Cycles;
+      uint64_t Naive = Results[Next++].R.Cycles;
       double Overhead =
           static_cast<double>(Naive) / static_cast<double>(Unified) - 1.0;
       Row.push_back(formatPercent(Overhead));

@@ -49,7 +49,7 @@ int main(int argc, char **argv) {
     for (StrategyKind K : {StrategyKind::Unified, StrategyKind::GDP,
                            StrategyKind::ProfileMax, StrategyKind::Naive})
       Tasks.push_back({&E, K, MoveLatency});
-  std::vector<SimEval> Evals = runSimMatrix(Tasks);
+  std::vector<CellResult> Evals = runSimMatrix(Tasks);
 
   TextTable Table({"benchmark", "GDP static", "GDP sim", "PM static",
                    "PM sim", "sim/static max"});
@@ -57,10 +57,10 @@ int main(int argc, char **argv) {
 
   size_t Next = 0;
   for (const SuiteEntry &E : Suite) {
-    const SimEval &U = Evals[Next++];
-    const SimEval &G = Evals[Next++];
-    const SimEval &P = Evals[Next++];
-    const SimEval &N = Evals[Next++];
+    const CellResult &U = Evals[Next++];
+    const CellResult &G = Evals[Next++];
+    const CellResult &P = Evals[Next++];
+    const CellResult &N = Evals[Next++];
     double GDPRelStat = relativePerf(U.R.Cycles, G.R.Cycles);
     double GDPRelSim = relativePerf(U.S.Cycles, G.S.Cycles);
     double PMRelStat = relativePerf(U.R.Cycles, P.R.Cycles);
@@ -72,7 +72,7 @@ int main(int argc, char **argv) {
     NaiveStat.add(relativePerf(U.R.Cycles, N.R.Cycles));
     NaiveSim.add(relativePerf(U.S.Cycles, N.S.Cycles));
     double MaxRatio = 0;
-    for (const SimEval *EV : {&U, &G, &P, &N})
+    for (const CellResult *EV : {&U, &G, &P, &N})
       MaxRatio = std::max(MaxRatio, static_cast<double>(EV->S.Cycles) /
                                         static_cast<double>(EV->R.Cycles));
     Table.addRow({E.Name, formatPercent(GDPRelStat),

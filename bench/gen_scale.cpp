@@ -12,7 +12,8 @@
 // Defaults: sizes 1000,10000,100000 · threads 1,2,8 · BENCH_gen.json.
 //
 // Every record is deterministic apart from *_sec wall-clock fields
-// (zeroed under --deterministic / GDP_BENCH_DETERMINISTIC=1). The binary
+// (zeroed under --deterministic); the phase seconds are the timers of each
+// evaluation's telemetry shard (sim/Evaluate.h). The binary
 // self-checks the determinism contract: for each program size, the
 // per-strategy results (cycles, moves, rhop runs) must be byte-identical
 // at every thread count; a violation prints the failing program's
@@ -24,7 +25,6 @@
 #include "gen/Generator.h"
 #include "partition/PreparedCache.h"
 #include "partition/UnlockedRHOP.h"
-#include "support/ThreadPool.h"
 
 #include <chrono>
 #include <cstdio>
@@ -59,6 +59,10 @@ std::string u64(uint64_t V) {
 struct StrategyCell {
   const char *Name;
   PipelineResult R;
+  double PartitionSec = 0;
+  double DataPartitionSec = 0;
+  double RhopSec = 0;
+  double ScheduleSec = 0;
   /// The deterministic summary compared across thread counts.
   std::string fingerprint() const {
     return formatStr("%s cycles=%llu dyn=%llu static=%llu rhop=%u ok=%d",
@@ -146,12 +150,10 @@ std::string renderJson(const std::vector<SizeRecord> &Records,
         S += " \"dyn_moves\": " + u64(Cell.R.DynamicMoves) + ",";
         S += " \"static_moves\": " + u64(Cell.R.StaticMoves) + ",";
         S += " \"rhop_runs\": " + std::to_string(Cell.R.RHOPRuns) + ",";
-        S += " \"partition_sec\": " + Sec(Cell.R.PartitionSeconds) + ",";
-        S += " \"data_partition_sec\": " +
-             Sec(Cell.R.Phases.DataPartitionSeconds) + ",";
-        S += " \"rhop_sec\": " + Sec(Cell.R.Phases.RhopSeconds) + ",";
-        S += " \"schedule_sec\": " + Sec(Cell.R.Phases.ScheduleSeconds) +
-             " }";
+        S += " \"partition_sec\": " + Sec(Cell.PartitionSec) + ",";
+        S += " \"data_partition_sec\": " + Sec(Cell.DataPartitionSec) + ",";
+        S += " \"rhop_sec\": " + Sec(Cell.RhopSec) + ",";
+        S += " \"schedule_sec\": " + Sec(Cell.ScheduleSec) + " }";
       }
       S += " ] }";
     }
@@ -234,14 +236,14 @@ int main(int argc, char **argv) {
         return gen::generateProgram(GO);
       };
       auto Cold = PreparedProgramCache::global().get(
-          Key, /*MaxSteps=*/200000000ULL, /*CaptureTrace=*/false, Build);
+          Key, /*CaptureTrace=*/false, Build);
       if (!Cold->Prog || !Cold->PP.Ok) {
         std::fprintf(stderr, "error: preparation failed (%s): %s\n",
                      Rec.Repro.c_str(), Cold->PP.Error.c_str());
         return 1;
       }
       Rec.PrepareSec = Cold->PP.PrepareSeconds;
-      PreparedProgramCache::global().get(Key, 200000000ULL, false, Build);
+      PreparedProgramCache::global().get(Key, false, Build);
     }
     Rec.CacheColdMisses =
         CacheSession.stats().getCounter("prepared_cache.misses");
@@ -249,7 +251,7 @@ int main(int argc, char **argv) {
         CacheSession.stats().getCounter("prepared_cache.hits");
 
     auto Cached = PreparedProgramCache::global().get(
-        "gen_scale:" + Rec.Repro, 200000000ULL, false,
+        "gen_scale:" + Rec.Repro, false,
         [&GO](std::vector<support::Diag> &) {
           return gen::generateProgram(GO);
         });
@@ -258,26 +260,37 @@ int main(int argc, char **argv) {
     // The four-strategy matrix at each thread count. Results must be
     // identical at every count (docs/PARALLELISM.md); wall time is the
     // scalability signal.
+    std::string Spec = formatStr("gen:%llu:%u",
+                                 static_cast<unsigned long long>(Rec.Seed),
+                                 Rec.Ops);
     for (unsigned T : ThreadCounts) {
       ThreadRun TR;
       TR.Threads = T;
-      support::ThreadPool Pool(T - 1);
-      std::vector<StrategyKind> Tasks(std::begin(Kinds), std::end(Kinds));
       // Each thread count starts from an empty unlocked-RHOP table, so its
       // wall time does not reuse RHOP runs an earlier count made.
       PreparedProgram Fresh = PP;
       Fresh.Unlocked = std::make_shared<UnlockedRHOPTable>();
+      std::vector<EvalCell> Cells(std::size(Kinds));
+      for (size_t C = 0; C != Cells.size(); ++C) {
+        Cells[C].PP = &Fresh;
+        Cells[C].Opt.Strategy = Kinds[C];
+        Cells[C].Opt.MoveLatency = Latency;
+        Cells[C].Scope = Spec + "|" + strategyName(Kinds[C]) + "|lat" +
+                         std::to_string(Latency);
+      }
       double Begin = nowSec();
-      std::vector<PipelineResult> Results =
-          Pool.parallelMap(Tasks, [&](const StrategyKind &K) {
-            PipelineOptions Opt;
-            Opt.Strategy = K;
-            Opt.MoveLatency = Latency;
-            return runStrategy(Fresh, Opt);
-          });
+      std::vector<CellResult> Results =
+          evaluateCells(Cells, T, support::FaultPlan::fromEnv());
       TR.MatrixWallSec = nowSec() - Begin;
-      for (size_t C = 0; C != Tasks.size(); ++C)
-        TR.Cells.push_back({strategyName(Tasks[C]), Results[C]});
+      for (size_t C = 0; C != Cells.size(); ++C) {
+        const telemetry::StatsRegistry &Stats = Results[C].Shard->stats();
+        StrategyCell Cell{strategyName(Kinds[C]), std::move(Results[C].R)};
+        Cell.PartitionSec = partitionSeconds(Stats);
+        Cell.DataPartitionSec = Stats.getTime("pipeline.data_partition");
+        Cell.RhopSec = Stats.getTime("pipeline.rhop");
+        Cell.ScheduleSec = Stats.getTime("pipeline.schedule");
+        TR.Cells.push_back(std::move(Cell));
+      }
       Rec.Runs.push_back(std::move(TR));
     }
 
@@ -307,7 +320,7 @@ int main(int argc, char **argv) {
     double GdpPart = 0;
     for (const StrategyCell &C : R.Runs.front().Cells)
       if (std::string(C.Name) == "GDP")
-        GdpPart = C.R.PartitionSeconds;
+        GdpPart = C.PartitionSec;
     Table.addRow({std::to_string(R.Ops), std::to_string(R.StaticOps),
                   std::to_string(R.Objects),
                   formatDouble(R.GenSec * 1e3, 2),

@@ -78,29 +78,29 @@ int main(int argc, char **argv) {
       Tasks.push_back({&Cells.back(), K, 5});
     }
   auto MatrixStart = std::chrono::steady_clock::now();
-  std::vector<PipelineResult> Results = runMatrix(Tasks);
+  std::vector<CellResult> Results = runMatrix(Tasks);
   double MatrixSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - MatrixStart)
                              .count();
 
+  // Phase times come from each evaluation's own telemetry shard.
   size_t Next = 0;
   for (const SuiteEntry &E : suite()) {
-    PipelineResult G = Results[Next++];
-    PipelineResult PM = Results[Next++];
-    PipelineResult N = Results[Next++];
-    GDPTotal += G.PartitionSeconds;
-    PMTotal += PM.PartitionSeconds;
-    NaiveTotal += N.PartitionSeconds;
-    Table.addRow({E.Name, formatDouble(G.PartitionSeconds * 1e3, 2),
-                  formatDouble(PM.PartitionSeconds * 1e3, 2),
-                  formatDouble(N.PartitionSeconds * 1e3, 2),
-                  formatDouble(PM.PartitionSeconds /
-                                   std::max(1e-9, G.PartitionSeconds),
-                               2)});
-    Phases.addRow({E.Name, formatDouble(G.Phases.PrepareSeconds * 1e3, 2),
-                   formatDouble(G.Phases.DataPartitionSeconds * 1e3, 2),
-                   formatDouble(G.Phases.RhopSeconds * 1e3, 2),
-                   formatDouble(G.Phases.ScheduleSeconds * 1e3, 2)});
+    const telemetry::StatsRegistry &G = Results[Next++].Shard->stats();
+    double GDP = partitionSeconds(G);
+    double PM = partitionSeconds(Results[Next++].Shard->stats());
+    double Naive = partitionSeconds(Results[Next++].Shard->stats());
+    GDPTotal += GDP;
+    PMTotal += PM;
+    NaiveTotal += Naive;
+    Table.addRow({E.Name, formatDouble(GDP * 1e3, 2),
+                  formatDouble(PM * 1e3, 2), formatDouble(Naive * 1e3, 2),
+                  formatDouble(PM / std::max(1e-9, GDP), 2)});
+    Phases.addRow(
+        {E.Name, formatDouble(E.PP.PrepareSeconds * 1e3, 2),
+         formatDouble(G.getTime("pipeline.data_partition") * 1e3, 2),
+         formatDouble(G.getTime("pipeline.rhop") * 1e3, 2),
+         formatDouble(G.getTime("pipeline.schedule") * 1e3, 2)});
   }
   Table.addRow({"total", formatDouble(GDPTotal * 1e3, 2),
                 formatDouble(PMTotal * 1e3, 2),

@@ -2,7 +2,8 @@
 //
 // Builds a small program with the IR builder, runs the full pipeline
 // (verify → points-to → profile → partition → schedule) for each of the
-// paper's four strategies, and prints the resulting cycle counts.
+// paper's four strategies through the evaluation driver (sim/Evaluate.h),
+// and prints the resulting cycle counts.
 //
 // Run: ./quickstart [workload-name]   (default: a tiny inline kernel)
 //
@@ -10,6 +11,7 @@
 
 #include "ir/IRBuilder.h"
 #include "partition/Pipeline.h"
+#include "sim/Evaluate.h"
 #include "support/StrUtil.h"
 #include "workloads/Workloads.h"
 
@@ -79,27 +81,37 @@ int main(int argc, char **argv) {
   std::printf("program: %s (%u ops, %u data objects)\n",
               P->getName().c_str(), P->getNumOps(), P->getNumObjects());
 
-  TextTable Table({"strategy", "cycles", "vs unified", "dyn moves",
-                   "partition ms"});
-  uint64_t UnifiedCycles = 0;
+  // One cell per strategy, evaluated in order on this thread. Each cell
+  // records into its own telemetry shard, whose phase timers say how long
+  // partitioning took.
+  std::vector<EvalCell> Cells;
   for (StrategyKind K : {StrategyKind::Unified, StrategyKind::GDP,
                          StrategyKind::ProfileMax, StrategyKind::Naive}) {
-    PipelineOptions Opt;
-    Opt.Strategy = K;
-    Opt.MoveLatency = MoveLatency;
-    PipelineResult R = runStrategy(PP, Opt);
-    if (K == StrategyKind::Unified)
-      UnifiedCycles = R.Cycles;
+    EvalCell C;
+    C.PP = &PP;
+    C.Opt.Strategy = K;
+    C.Opt.MoveLatency = MoveLatency;
+    Cells.push_back(C);
+  }
+  std::vector<CellResult> Evals =
+      evaluateCells(Cells, /*Threads=*/1, /*Faults=*/nullptr);
+
+  TextTable Table({"strategy", "cycles", "vs unified", "dyn moves",
+                   "partition ms"});
+  uint64_t UnifiedCycles = Evals.front().R.Cycles;
+  for (const CellResult &E : Evals) {
+    const PipelineResult &R = E.R;
     double Rel = UnifiedCycles
                      ? static_cast<double>(UnifiedCycles) /
                            static_cast<double>(R.Cycles)
                      : 0.0;
-    Table.addRow({strategyName(K), formatStr("%llu",
-                      static_cast<unsigned long long>(R.Cycles)),
+    Table.addRow({strategyName(R.RequestedStrategy),
+                  formatStr("%llu", static_cast<unsigned long long>(R.Cycles)),
                   formatPercent(Rel),
                   formatStr("%llu",
                             static_cast<unsigned long long>(R.DynamicMoves)),
-                  formatDouble(R.PartitionSeconds * 1000.0, 1)});
+                  formatDouble(partitionSeconds(E.Shard->stats()) * 1000.0,
+                               1)});
   }
   std::printf("%s", Table.render().c_str());
   return 0;

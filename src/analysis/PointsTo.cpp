@@ -23,7 +23,6 @@ struct Solver {
   std::deque<unsigned> Worklist;
   std::vector<bool> InWorklist;
   unsigned NumRegNodes;
-  unsigned Iterations = 0;
 
   explicit Solver(unsigned NumNodes, unsigned NumRegNodes)
       : NumNodes(NumNodes), Pts(NumNodes), Succs(NumNodes),
@@ -61,7 +60,6 @@ struct Solver {
 
   void solve() {
     while (!Worklist.empty()) {
-      ++Iterations;
       unsigned N = Worklist.front();
       Worklist.pop_front();
       InWorklist[N] = false;
@@ -181,7 +179,6 @@ PointsTo::PointsTo(const Program &P) {
   }
 
   S.solve();
-  NumIterations = S.Iterations;
 
   Solution.resize(NumNodes);
   for (unsigned N = 0; N != NumNodes; ++N)

@@ -42,14 +42,10 @@ public:
   /// kept in memory).
   const std::vector<int> &contents(unsigned ObjectId) const;
 
-  /// Total number of constraint-solver iterations taken (diagnostic).
-  unsigned getNumIterations() const { return NumIterations; }
-
 private:
   std::vector<std::vector<int>> Solution; // node -> sorted object ids
   std::vector<unsigned> RegBase;          // function id -> first reg node
   unsigned NumRegNodes = 0;
-  unsigned NumIterations = 0;
 
   unsigned regNode(unsigned FunctionId, unsigned Reg) const {
     return RegBase[FunctionId] + Reg;

@@ -14,20 +14,6 @@
 
 using namespace gdp;
 
-double GraphPartition::maxNormalizedLoad(
-    const std::vector<uint64_t> &Totals) const {
-  double Worst = 0;
-  unsigned NumParts = static_cast<unsigned>(PartWeights.size());
-  for (unsigned P = 0; P != NumParts; ++P)
-    for (unsigned C = 0; C != Totals.size(); ++C) {
-      if (Totals[C] == 0)
-        continue;
-      double Ideal = static_cast<double>(Totals[C]) / NumParts;
-      Worst = std::max(Worst, static_cast<double>(PartWeights[P][C]) / Ideal);
-    }
-  return Worst;
-}
-
 namespace {
 
 /// Allowed imbalance of a constraint the caller gave no tolerance for.

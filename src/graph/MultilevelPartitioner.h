@@ -45,10 +45,6 @@ struct GraphPartition {
   std::vector<unsigned> Assignment; ///< node -> part
   uint64_t CutWeight = 0;
   std::vector<std::vector<uint64_t>> PartWeights; ///< [part][constraint]
-
-  /// Largest normalized load over parts and constraints; 1.0 = perfectly
-  /// balanced, values above 1 + tolerance violate a constraint.
-  double maxNormalizedLoad(const std::vector<uint64_t> &Totals) const;
 };
 
 /// Partitions \p G into Opt.NumParts parts.

@@ -48,11 +48,6 @@ public:
   /// getNumConstraints() entries); returns its id.
   unsigned addNode(std::vector<uint64_t> Weights);
 
-  /// Adds weight to one constraint of an existing node.
-  void addNodeWeight(unsigned Node, unsigned Constraint, uint64_t Delta) {
-    NodeWeights[Node][Constraint] += Delta;
-  }
-
   const std::vector<uint64_t> &getNodeWeights(unsigned Node) const {
     assert(Node < getNumNodes() && "node out of range");
     return NodeWeights[Node];

@@ -194,20 +194,3 @@ bool gdp::opcodeIsTerminator(Opcode Op) {
   return Op == Opcode::Br || Op == Opcode::BrCond || Op == Opcode::Ret;
 }
 
-bool gdp::opcodeProducesFloat(Opcode Op) {
-  switch (Op) {
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::FNeg:
-  case Opcode::FAbs:
-  case Opcode::FMin:
-  case Opcode::FMax:
-  case Opcode::ItoF:
-  case Opcode::MovF:
-    return true;
-  default:
-    return false;
-  }
-}

@@ -120,9 +120,6 @@ bool opcodeReferencesMemory(Opcode Op);
 /// True for block terminators (Br, BrCond, Ret).
 bool opcodeIsTerminator(Opcode Op);
 
-/// True for opcodes whose results are floating point values.
-bool opcodeProducesFloat(Opcode Op);
-
 } // namespace gdp
 
 #endif // GDP_IR_OPCODE_H

@@ -91,7 +91,6 @@ public:
   /// forcing a balanced split that costs cycles for nothing. 0 = capacity
   /// not modeled (the partitioner falls back to pure relative balance).
   uint64_t getClusterMemoryBytes() const { return ClusterMemoryBytes; }
-  void setClusterMemoryBytes(uint64_t Bytes) { ClusterMemoryBytes = Bytes; }
 
   /// Latency in cycles of \p Op on this machine.
   unsigned getLatency(Opcode Op) const;

@@ -14,15 +14,33 @@ using namespace gdp;
 
 namespace {
 
-/// Partial optimum of one contiguous mask chunk: lowest cycles first, then
-/// lowest mask — exactly what the serial loop's "first strict improvement
-/// wins" scan produces within the chunk.
-struct ChunkOptimum {
+/// The best and worst placements over some evaluated masks. Strict
+/// improvement only, so of equal candidates the first added wins: masks
+/// (and chunk optima) added in ascending order keep the lowest mask.
+struct Optimum {
   uint64_t BestCycles = 0;
   uint64_t BestMask = 0;
   uint64_t WorstCycles = 0;
   uint64_t WorstMask = 0;
-  bool Any = false; ///< False when the budget cut the chunk off entirely.
+  bool Any = false; ///< False until something was added.
+
+  void add(uint64_t Mask, uint64_t Cycles) {
+    add(Optimum{Cycles, Mask, Cycles, Mask, true});
+  }
+
+  void add(const Optimum &O) {
+    if (!O.Any)
+      return;
+    if (!Any || O.BestCycles < BestCycles) {
+      BestCycles = O.BestCycles;
+      BestMask = O.BestMask;
+    }
+    if (!Any || O.WorstCycles > WorstCycles) {
+      WorstCycles = O.WorstCycles;
+      WorstMask = O.WorstMask;
+    }
+    Any = true;
+  }
 };
 
 } // namespace
@@ -95,88 +113,47 @@ ExhaustiveResult gdp::exhaustiveSearch(const PreparedProgram &PP,
     Pt.Evaluated = true;
   };
 
-  if (Threads <= 1) {
-    // Serial scan, first strict improvement wins (= lowest mask on ties).
-    bool Any = false;
-    for (uint64_t Mask = 0; Mask != NumMasks; ++Mask) {
+  // Contiguous chunks over the mask space; enough chunks per thread to
+  // even out the load (placements differ wildly in RHOP cost). One thread
+  // runs the chunks inline, in mask order.
+  uint64_t NumChunks = std::min<uint64_t>(NumMasks, Threads * 8ull);
+  uint64_t ChunkSize = (NumMasks + NumChunks - 1) / NumChunks;
+  NumChunks = (NumMasks + ChunkSize - 1) / ChunkSize;
+
+  telemetry::TelemetrySession *Parent = telemetry::session();
+  std::vector<std::unique_ptr<telemetry::TelemetrySession>> Shards(NumChunks);
+  std::vector<Optimum> Optima(NumChunks);
+
+  support::ThreadPool Pool(Threads - 1);
+  Pool.parallelFor(0, NumChunks, [&](size_t Chunk) {
+    // Per-task telemetry shard: counters recorded here merge into the
+    // parent at join time, in chunk order, keeping totals exact.
+    std::optional<telemetry::ScopedSession> Scope;
+    if (Parent) {
+      Shards[Chunk] = std::make_unique<telemetry::TelemetrySession>();
+      // Merged trace events re-parent onto the span that spawned the
+      // chunk tasks and carry the chunk index as their task tag.
+      Shards[Chunk]->adoptTaskContext(telemetry::inheritedContext(),
+                                      static_cast<int32_t>(Chunk));
+      Scope.emplace(*Shards[Chunk]);
+    }
+    uint64_t Begin = Chunk * ChunkSize;
+    uint64_t End = std::min(NumMasks, Begin + ChunkSize);
+    for (uint64_t Mask = Begin; Mask != End; ++Mask) {
       if (!Meter.charge())
         break;
       EvalMask(Mask);
-      const ExhaustivePoint &Pt = Result.Points[Mask];
-      if (!Any || Pt.Cycles < Result.BestCycles) {
-        Result.BestCycles = Pt.Cycles;
-        Result.BestMask = Mask;
-      }
-      if (!Any || Pt.Cycles > Result.WorstCycles) {
-        Result.WorstCycles = Pt.Cycles;
-        Result.WorstMask = Mask;
-      }
-      Any = true;
+      Optima[Chunk].add(Mask, Result.Points[Mask].Cycles);
     }
-  } else {
-    // Contiguous chunks over the mask space; enough chunks per thread to
-    // even out the load (placements differ wildly in RHOP cost).
-    uint64_t NumChunks = std::min<uint64_t>(NumMasks, Threads * 8ull);
-    uint64_t ChunkSize = (NumMasks + NumChunks - 1) / NumChunks;
-    NumChunks = (NumMasks + ChunkSize - 1) / ChunkSize;
+  });
 
-    telemetry::TelemetrySession *Parent = telemetry::session();
-    std::vector<std::unique_ptr<telemetry::TelemetrySession>> Shards(
-        NumChunks);
-    std::vector<ChunkOptimum> Optima(NumChunks);
-
-    support::ThreadPool Pool(Threads - 1);
-    Pool.parallelFor(0, NumChunks, [&](size_t Chunk) {
-      // Per-task telemetry shard: counters recorded here merge into the
-      // parent at join time, in chunk order, keeping totals exact.
-      std::optional<telemetry::ScopedSession> Scope;
-      if (Parent) {
-        Shards[Chunk] = std::make_unique<telemetry::TelemetrySession>();
-        // Merged trace events re-parent onto the span that spawned the
-        // chunk tasks and carry the chunk index as their task tag.
-        Shards[Chunk]->adoptTaskContext(telemetry::inheritedContext(),
-                                        static_cast<int32_t>(Chunk));
-        Scope.emplace(*Shards[Chunk]);
-      }
-      uint64_t Begin = Chunk * ChunkSize;
-      uint64_t End = std::min(NumMasks, Begin + ChunkSize);
-      ChunkOptimum &O = Optima[Chunk];
-      for (uint64_t Mask = Begin; Mask != End; ++Mask) {
-        if (!Meter.charge())
-          break;
-        EvalMask(Mask);
-        const ExhaustivePoint &Pt = Result.Points[Mask];
-        if (!O.Any || Pt.Cycles < O.BestCycles) {
-          O.BestCycles = Pt.Cycles;
-          O.BestMask = Mask;
-        }
-        if (!O.Any || Pt.Cycles > O.WorstCycles) {
-          O.WorstCycles = Pt.Cycles;
-          O.WorstMask = Mask;
-        }
-        O.Any = true;
-      }
-    });
-
-    // Deterministic reduction in chunk order: strict improvement only, so
-    // the lowest mask wins ties exactly as in the serial scan.
-    bool Any = false;
-    for (uint64_t Chunk = 0; Chunk != NumChunks; ++Chunk) {
-      const ChunkOptimum &O = Optima[Chunk];
-      if (O.Any) {
-        if (!Any || O.BestCycles < Result.BestCycles) {
-          Result.BestCycles = O.BestCycles;
-          Result.BestMask = O.BestMask;
-        }
-        if (!Any || O.WorstCycles > Result.WorstCycles) {
-          Result.WorstCycles = O.WorstCycles;
-          Result.WorstMask = O.WorstMask;
-        }
-        Any = true;
-      }
-      if (Parent && Shards[Chunk])
-        Parent->mergeFrom(*Shards[Chunk]);
-    }
+  // Deterministic reduction in chunk order: the lowest mask wins ties at
+  // any thread count.
+  Optimum Total;
+  for (uint64_t Chunk = 0; Chunk != NumChunks; ++Chunk) {
+    Total.add(Optima[Chunk]);
+    if (Parent && Shards[Chunk])
+      Parent->mergeFrom(*Shards[Chunk]);
   }
 
   // Where the three partitioners land in this space.
@@ -205,22 +182,15 @@ ExhaustiveResult gdp::exhaustiveSearch(const PreparedProgram &PP,
          {Result.GDPMask, Result.ProfileMaxMask, Result.NaiveMask})
       if (!Result.Points[Anchor].Evaluated)
         EvalMask(Anchor);
-    bool Any = false;
-    for (uint64_t Mask = 0; Mask != NumMasks; ++Mask) {
-      const ExhaustivePoint &Pt = Result.Points[Mask];
-      if (!Pt.Evaluated)
-        continue;
-      if (!Any || Pt.Cycles < Result.BestCycles) {
-        Result.BestCycles = Pt.Cycles;
-        Result.BestMask = Mask;
-      }
-      if (!Any || Pt.Cycles > Result.WorstCycles) {
-        Result.WorstCycles = Pt.Cycles;
-        Result.WorstMask = Mask;
-      }
-      Any = true;
-    }
+    Total = Optimum();
+    for (uint64_t Mask = 0; Mask != NumMasks; ++Mask)
+      if (Result.Points[Mask].Evaluated)
+        Total.add(Mask, Result.Points[Mask].Cycles);
   }
+  Result.BestCycles = Total.BestCycles;
+  Result.BestMask = Total.BestMask;
+  Result.WorstCycles = Total.WorstCycles;
+  Result.WorstMask = Total.WorstMask;
 
   for (const ExhaustivePoint &Pt : Result.Points)
     if (Pt.Evaluated)

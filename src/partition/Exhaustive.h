@@ -11,13 +11,13 @@
 /// cycle count and data-size balance. Only feasible for benchmarks with a
 /// small number of objects, exactly as in the paper.
 ///
-/// The search runs on a `support::ThreadPool` when asked for more than one
-/// thread. Determinism contract (docs/PARALLELISM.md): the mask space is
-/// split into contiguous chunks whose partial optima are reduced *in chunk
-/// order* with the tie-break "lowest cycles, then lowest mask" (the lowest
-/// mask is the lexicographically smallest placement in enumeration order —
-/// the first one the serial loop would have seen), so the result is
-/// bit-identical at any thread count.
+/// The search runs on a `support::ThreadPool`. Determinism contract
+/// (docs/PARALLELISM.md): the mask space is split into contiguous chunks
+/// whose partial optima are reduced *in chunk order* with the tie-break
+/// "lowest cycles, then lowest mask" (the lowest mask is the
+/// lexicographically smallest placement in enumeration order), so the
+/// result is bit-identical at any thread count. One thread runs the same
+/// chunks inline, in mask order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,9 +67,9 @@ inline constexpr unsigned MaxExhaustiveObjects = 18;
 
 /// Runs the search on a prepared program. \p Opt supplies the machine
 /// (must have 2 clusters) and RHOP options; Opt.Strategy is ignored.
-/// \p Threads is the total thread count: 1 = the serial loop, 0 = take
-/// `GDP_THREADS` from the environment. Results are identical for every
-/// value (see the determinism contract above).
+/// \p Threads is the total thread count: 1 = every chunk inline on the
+/// calling thread, 0 = take `GDP_THREADS` from the environment. Results
+/// are identical for every value (see the determinism contract above).
 ///
 /// Total: an unprepared program, an object count over
 /// MaxExhaustiveObjects, or a non-2-cluster machine comes back as
@@ -78,7 +78,7 @@ inline constexpr unsigned MaxExhaustiveObjects = 18;
 /// \p B (optional) bounds the search: one budget node is charged per
 /// placement evaluation, and on exhaustion the scan stops with
 /// best-so-far results (BudgetExhausted). A NodeLimit replays
-/// bit-identically in serial runs; wall-clock/deadline limits and
+/// bit-identically at one thread; wall-clock/deadline limits and
 /// parallel budgeted runs stop at a timing-dependent point and are
 /// outside the determinism contract (the anchors above still bound the
 /// answer's quality).

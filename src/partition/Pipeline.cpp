@@ -114,6 +114,11 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   return PP;
 }
 
+double gdp::partitionSeconds(const telemetry::StatsRegistry &Stats) {
+  return Stats.getTime("pipeline.data_partition") +
+         Stats.getTime("pipeline.rhop");
+}
+
 MachineModel gdp::machineFor(const PipelineOptions &Opt) {
   return Opt.Machine ? *Opt.Machine
                      : MachineModel::makeDefault(Opt.NumClusters,
@@ -121,39 +126,6 @@ MachineModel gdp::machineFor(const PipelineOptions &Opt) {
 }
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point Start) {
-  return std::chrono::duration<double>(Clock::now() - Start).count();
-}
-
-/// Times one pipeline phase into a PhaseTimes field while also feeding the
-/// telemetry timer/trace of the same name (when a session is attached).
-class PhaseClock {
-public:
-  PhaseClock(double &Into, const char *TelemetryName)
-      : Into(Into), Scope(TelemetryName), Start(Clock::now()) {}
-
-  /// Ends the phase now instead of at scope exit (idempotent).
-  void stop() {
-    if (Stopped)
-      return;
-    Stopped = true;
-    Into += secondsSince(Start);
-    Scope.stop();
-  }
-
-  ~PhaseClock() { stop(); }
-  PhaseClock(const PhaseClock &) = delete;
-  PhaseClock &operator=(const PhaseClock &) = delete;
-
-private:
-  double &Into;
-  telemetry::Span Scope;
-  Clock::time_point Start;
-  bool Stopped = false;
-};
 
 /// Dynamic access count of every object on every cluster under an existing
 /// computation partition — the statistic both ProfileMax and Naive rank
@@ -182,9 +154,8 @@ objectAccessByCluster(const Program &P, const ProfileData &Prof,
 /// first step of Unified, Naive and ProfileMax: computed once per prepared
 /// program and machine (partition/UnlockedRHOP.h).
 std::shared_ptr<const UnlockedRHOP> unlockedRHOP(const PreparedProgram &PP,
-                                                 const MachineModel &MM,
-                                                 PipelineResult &R) {
-  PhaseClock T(R.Phases.RhopSeconds, "pipeline.rhop");
+                                                 const MachineModel &MM) {
+  telemetry::Span T("pipeline.rhop");
   UnlockedRHOPTable Unshared; // For a preparation not made by prepareProgram.
   UnlockedRHOPTable &Table = PP.Unlocked ? *PP.Unlocked : Unshared;
   return Table.get(
@@ -201,7 +172,7 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
                               bool &DegradedOut) {
   PipelineResult R;
   {
-    PhaseClock T(R.Phases.DataPartitionSeconds, "pipeline.data_partition");
+    telemetry::Span T("pipeline.data_partition");
     GDPOptions DataOpt = Opt.DataOpt;
     if (DataOpt.ClusterCapacityShares.empty()) {
       // Heterogeneous machines: scale each cluster's data capacity with its
@@ -244,7 +215,7 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
     R.Placement = D.Placement;
   }
   {
-    PhaseClock T(R.Phases.RhopSeconds, "pipeline.rhop");
+    telemetry::Span T("pipeline.rhop");
     if (support::faultAt("rhop.lock")) {
       R.Diags.push_back(support::injectedFaultDiag("rhop.lock"));
       FailedOut = true;
@@ -266,10 +237,9 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
   unsigned NumClusters = MM.getNumClusters();
 
   // First detailed run: unified-memory assumption (no locks).
-  std::shared_ptr<const UnlockedRHOP> First = unlockedRHOP(PP, MM, R);
+  std::shared_ptr<const UnlockedRHOP> First = unlockedRHOP(PP, MM);
 
-  PhaseClock PlacementClock(R.Phases.DataPartitionSeconds,
-                            "pipeline.data_partition");
+  telemetry::Span PlacementSpan("pipeline.data_partition");
   // Objects are grouped exactly as in GDP's coarsening (paper §4.1: "the
   // program-level graph of the application is created and coarsened as
   // before, so objects are grouped together the same").
@@ -335,11 +305,11 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
     ClusterBytes[Chosen] += CI.Bytes;
   }
 
-  PlacementClock.stop();
+  PlacementSpan.stop();
 
   // Second detailed run, cognizant of the placement.
   {
-    PhaseClock T(R.Phases.RhopSeconds, "pipeline.rhop");
+    telemetry::Span T("pipeline.rhop");
     if (support::faultAt("rhop.lock")) {
       R.Diags.push_back(support::injectedFaultDiag("rhop.lock"));
       R.RHOPRuns = 1; // The unlocked first run did happen.
@@ -360,11 +330,10 @@ PipelineResult runNaiveStrategy(const PreparedProgram &PP,
   unsigned NumClusters = MM.getNumClusters();
 
   // Data-incognizant partitioning (unified-memory assumption).
-  R.Assignment = unlockedRHOP(PP, MM, R)->Assignment;
+  R.Assignment = unlockedRHOP(PP, MM)->Assignment;
   R.RHOPRuns = 1;
 
-  PhaseClock PlacementClock(R.Phases.DataPartitionSeconds,
-                            "pipeline.data_partition");
+  telemetry::Span PlacementSpan("pipeline.data_partition");
   // Postpass object placement: each object to the cluster with the most
   // dynamic accesses (no balance consideration, paper §2).
   auto Counts = objectAccessByCluster(P, PP.Prof, R.Assignment, NumClusters);
@@ -393,14 +362,14 @@ PipelineResult runNaiveStrategy(const PreparedProgram &PP,
           R.Assignment.set(F, static_cast<unsigned>(Op->getId()), Home);
       }
   }
-  PlacementClock.stop();
+  PlacementSpan.stop();
   return R;
 }
 
 PipelineResult runUnifiedStrategy(const PreparedProgram &PP,
                                   const MachineModel &MM) {
   PipelineResult R;
-  R.Assignment = unlockedRHOP(PP, MM, R)->Assignment;
+  R.Assignment = unlockedRHOP(PP, MM)->Assignment;
   R.RHOPRuns = 1;
   R.Placement = DataPlacement(PP.P->getNumObjects()); // All unplaced.
   return R;
@@ -437,9 +406,9 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
 
   // Degradation chain (docs/ROBUSTNESS.md): a strategy that cannot produce
   // a usable placement demotes along the paper's Table 1 quality ladder,
-  // GDP → ProfileMax → Naive, accumulating phase times, RHOP runs and
-  // diagnostics across the attempts. Naive and Unified have no failure
-  // modes of their own, so the chain always terminates.
+  // GDP → ProfileMax → Naive, accumulating RHOP runs and diagnostics
+  // across the attempts. Naive and Unified have no failure modes of their
+  // own, so the chain always terminates.
   // Per-evaluation budget (serving deadlines): polled between ladder
   // attempts and before the schedule phase, never mid-phase, so a result
   // under budget is bit-identical to one evaluated without a budget.
@@ -477,8 +446,6 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
       A = runUnifiedStrategy(PP, MM);
       break;
     }
-    R.Phases.DataPartitionSeconds += A.Phases.DataPartitionSeconds;
-    R.Phases.RhopSeconds += A.Phases.RhopSeconds;
     R.RHOPRuns += A.RHOPRuns;
     for (support::Diag &D : A.Diags)
       R.Diags.push_back(std::move(D));
@@ -506,15 +473,12 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
     Effective = Next;
   }
   R.EffectiveStrategy = Effective;
-
-  R.Phases.PrepareSeconds = PP.PrepareSeconds;
-  R.PartitionSeconds = R.Phases.partitionSeconds();
   telemetry::counter("pipeline.strategy_runs");
 
   if (OverBudget("pipeline.schedule"))
     return R;
   {
-    PhaseClock T(R.Phases.ScheduleSeconds, "pipeline.schedule");
+    telemetry::Span T("pipeline.schedule");
     if (support::faultAt("sched.estimate")) {
       R.Failed = true;
       R.Diags.push_back(support::injectedFaultDiag("sched.estimate"));

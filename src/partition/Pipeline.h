@@ -19,8 +19,10 @@
 ///                single multiported memory (upper-bound configuration)
 ///
 /// Every strategy reports total cycles (schedule length × block frequency),
-/// dynamic/static intercluster move counts, the data placement, and how
-/// long partitioning took (the §4.5 compile-time comparison).
+/// dynamic/static intercluster move counts and the data placement. How long
+/// each phase took (the §4.5 compile-time comparison) is recorded by the
+/// `pipeline.*` telemetry spans of the installed session; sim/Evaluate.h
+/// gives every evaluation its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +47,10 @@ namespace gdp {
 struct ExecTrace;
 class ProgramAnalyses;
 class UnlockedRHOPTable;
+
+namespace telemetry {
+class StatsRegistry;
+} // namespace telemetry
 
 /// The four evaluated strategies (paper Table 1).
 enum class StrategyKind {
@@ -119,22 +125,6 @@ struct PreparedProgram {
 PreparedProgram prepareProgram(Program &P, uint64_t MaxSteps = 200000000ULL,
                                bool CaptureTrace = false);
 
-/// Wall-clock breakdown of one strategy evaluation (the §4.5 compile-time
-/// comparison, now per phase instead of one opaque duration).
-struct PhaseTimes {
-  /// Verify + points-to + profile + CFG/loops/def-use/region DFGs
-  /// (shared by every strategy evaluated on the preparation).
-  double PrepareSeconds = 0;
-  double DataPartitionSeconds = 0; ///< GDP pass 1 / ProfileMax placement.
-  double RhopSeconds = 0;          ///< All detailed-partitioner runs.
-  double ScheduleSeconds = 0;      ///< Final program schedule.
-  /// Total partitioning time (what the paper's Table reports): everything
-  /// after preparation, excluding the final evaluation schedule.
-  double partitionSeconds() const {
-    return DataPartitionSeconds + RhopSeconds;
-  }
-};
-
 /// Result of evaluating one strategy.
 struct PipelineResult {
   uint64_t Cycles = 0;
@@ -146,9 +136,7 @@ struct PipelineResult {
   /// Cycles and the moves were folded from, and the one the simulator
   /// replays. Empty when Failed.
   ProgramSchedule Schedule;
-  double PartitionSeconds = 0; ///< Wall-clock spent partitioning.
-  PhaseTimes Phases;           ///< Per-phase breakdown of the above.
-  unsigned RHOPRuns = 0;       ///< Detailed-partitioner runs (§4.5).
+  unsigned RHOPRuns = 0; ///< Detailed-partitioner runs (§4.5).
 
   /// What the caller asked for.
   StrategyKind RequestedStrategy = StrategyKind::GDP;
@@ -176,6 +164,11 @@ struct PipelineResult {
 /// degradation chain comes back as a Failed result carrying diagnostics.
 PipelineResult runStrategy(const PreparedProgram &PP,
                            const PipelineOptions &Opt);
+
+/// Partitioning seconds recorded in \p Stats, the telemetry of one
+/// evaluation: its `pipeline.data_partition` and `pipeline.rhop` timers,
+/// the paper's §4.5 compile time (the final schedule is not part of it).
+double partitionSeconds(const telemetry::StatsRegistry &Stats);
 
 /// Builds the machine the options describe: Opt.Machine when set, else
 /// the paper's machine with Opt.NumClusters and Opt.MoveLatency.

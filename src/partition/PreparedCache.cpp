@@ -39,11 +39,10 @@ void PreparedProgramCache::evictLocked(const std::string &Protect) {
 }
 
 std::shared_ptr<const CachedPreparation> PreparedProgramCache::get(
-    const std::string &Name, uint64_t MaxSteps, bool CaptureTrace,
+    const std::string &Name, bool CaptureTrace,
     const std::function<std::unique_ptr<Program>(
         std::vector<support::Diag> &Diags)> &Build) {
-  std::string Key = Name + "|" + std::to_string(MaxSteps) +
-                    (CaptureTrace ? "|trace" : "|notrace");
+  std::string Key = Name + (CaptureTrace ? "|trace" : "|notrace");
 
   std::promise<std::shared_ptr<const CachedPreparation>> Promise;
   Future Mine;
@@ -77,7 +76,8 @@ std::shared_ptr<const CachedPreparation> PreparedProgramCache::get(
     auto Built = std::make_shared<CachedPreparation>();
     Built->Prog = Build(Built->PP.Diags);
     if (Built->Prog)
-      Built->PP = prepareProgram(*Built->Prog, MaxSteps, CaptureTrace);
+      Built->PP = prepareProgram(*Built->Prog, /*MaxSteps=*/200000000ULL,
+                                   CaptureTrace);
     else
       Built->PP.Error = "workload build failed";
     Promise.set_value(Built);

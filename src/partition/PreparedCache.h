@@ -61,7 +61,8 @@ public:
   static PreparedProgramCache &global();
 
   /// Returns the cached preparation of \p Name (built with \p Build and
-  /// prepared with the given options on first use). The result is shared:
+  /// prepared by prepareProgram, with trace capture when \p CaptureTrace,
+  /// on first use). The result is shared:
   /// callers must not mutate the program. A failed preparation (PP.Ok
   /// false) is cached too — it is deterministic. When \p Build returns
   /// null, the diagnostics it appended become the entry's PP.Diags, so
@@ -70,7 +71,7 @@ public:
   /// on the key rethrow it, and the key is dropped so the next request
   /// builds again.
   std::shared_ptr<const CachedPreparation>
-  get(const std::string &Name, uint64_t MaxSteps, bool CaptureTrace,
+  get(const std::string &Name, bool CaptureTrace,
       const std::function<std::unique_ptr<Program>(
           std::vector<support::Diag> &Diags)> &Build);
 

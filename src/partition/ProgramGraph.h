@@ -55,10 +55,6 @@ public:
   };
   const std::vector<Edge> &edges() const { return Edges; }
 
-  /// Execution count of the node's block (nodes in never-executed blocks
-  /// report 0).
-  uint64_t freqOf(unsigned Node) const { return Freq[Node]; }
-
 private:
   std::vector<const Operation *> Ops; // node -> operation
   std::vector<unsigned> FuncBase;     // function -> first node id

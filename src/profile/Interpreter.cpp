@@ -21,12 +21,6 @@ int64_t Interpreter::readGlobalInt(unsigned ObjectId, uint64_t Index) const {
   return Regions[ObjectId].Cells[Index].I;
 }
 
-double Interpreter::readGlobalFloat(unsigned ObjectId, uint64_t Index) const {
-  assert(ObjectId < Regions.size() && "global region missing; call run()");
-  assert(Index < Regions[ObjectId].Cells.size() && "index out of bounds");
-  return Regions[ObjectId].Cells[Index].F;
-}
-
 unsigned Interpreter::getNumHeapRegions() const {
   return static_cast<unsigned>(Regions.size()) - Prog.getNumObjects();
 }

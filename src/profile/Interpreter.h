@@ -70,8 +70,6 @@ public:
 
   /// Reads element \p Index of global object \p ObjectId (integer lane).
   int64_t readGlobalInt(unsigned ObjectId, uint64_t Index) const;
-  /// Reads element \p Index of global object \p ObjectId (float lane).
-  double readGlobalFloat(unsigned ObjectId, uint64_t Index) const;
 
   /// Number of heap regions allocated during the run.
   unsigned getNumHeapRegions() const;

@@ -294,10 +294,5 @@ int Server::run() {
   }
   for (auto &H : Handlers)
     H.wait();
-
-  // How the drain ended, for whoever holds the service after run().
-  Svc.registry().addCounter(Clean ? "serve.drain.clean"
-                                  : "serve.drain.cancelled",
-                            1);
   return Clean ? 0 : 3;
 }

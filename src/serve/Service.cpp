@@ -94,7 +94,7 @@ PartitionOutcome Service::partition(const PartitionRequest &Req,
     // A program that fails to load caches as a failed preparation that
     // carries the load diagnostics, so a repeated bad request is a hit.
     Prep = PreparedProgramCache::global().get(
-        Req.key(), /*MaxSteps=*/200000000ULL, /*CaptureTrace=*/false,
+        Req.key(), /*CaptureTrace=*/false,
         [&Req](std::vector<Diag> &LoadDiags) {
           return buildRequestProgram(Req, LoadDiags);
         });
@@ -143,7 +143,8 @@ PartitionOutcome Service::partition(const PartitionRequest &Req,
   }
 
   double PrepareSec = Opt.Deterministic ? 0 : Prep->PP.PrepareSeconds;
-  double PartitionSec = Opt.Deterministic ? 0 : R.PartitionSeconds;
+  double PartitionSec =
+      Opt.Deterministic ? 0 : partitionSeconds(Shard.stats());
   std::string Body = "{";
   Body += formatStr("\"spec\": \"%s\"",
                     support::json::escape(Req.key()).c_str());

@@ -24,8 +24,8 @@
 ///    allocator (null arena) falls back to the heap, letting one container
 ///    type serve both arena-backed hot paths and standalone uses.
 ///  * `ScratchArena` — RAII access to the calling thread's scratch arena
-///    (one per thread, handed out by the ThreadPool — see
-///    ThreadPool::threadScratch()). Construction marks the arena,
+///    (one per thread: every pool worker and the submitting thread own
+///    one, see threadScratchArena()). Construction marks the arena,
 ///    destruction releases back to the mark and publishes the arena.*
 ///    telemetry metrics, so nested scopes on one thread compose like a
 ///    stack and pool tasks on different threads never share blocks.

@@ -19,12 +19,13 @@
 ///
 /// **Determinism contract.** Hits are counted per `FaultScope`, an RAII
 /// thread-local installed around one logical unit of work (one pipeline
-/// evaluation, one CLI command). The bench harness installs one scope per
-/// (benchmark, strategy, latency) cell, named "bench|strategy|latN", so a
-/// rule fires in exactly the same cells at any thread count — fault-mode
-/// outputs are bit-identical at 1, 2 or 8 threads (RobustnessTests proves
-/// it). With no scope installed `faultAt` is a single thread-local pointer
-/// check and nothing can fire.
+/// evaluation, one CLI command). The evaluation driver (sim/Evaluate.h)
+/// installs one scope per cell under the caller's name (the bench
+/// harness's "bench|strategy|latN", gdptool's
+/// "gdptool|verb|spec|strategy"), so a rule fires in exactly the same
+/// cells at any thread count — fault-mode outputs are bit-identical at 1,
+/// 2 or 8 threads (RobustnessTests proves it). With no scope installed
+/// `faultAt` is a single thread-local pointer check and nothing can fire.
 ///
 /// Registered sites (see faultSites(); docs/ROBUSTNESS.md has the
 /// semantics of each):
@@ -33,7 +34,7 @@
 ///   rhop.lock      — constructing RHOP's lock map from a placement fails
 ///   sched.estimate — the final schedule estimate fails (evaluation fails)
 ///   sim.bus        — the cycle simulator's bus model fails
-///   pool.task      — a parallel evaluation task throws (FaultInjectedError)
+///   pool.task      — an evaluation-driver cell throws (FaultInjectedError)
 ///   serve.accept   — gdpd's accept loop fails a newly accepted connection
 ///                    (the client gets an internal-error frame)
 ///   serve.dispatch — gdpd's frame dispatch fails one request and drops
@@ -118,9 +119,9 @@ const std::vector<std::string> &faultSites();
 /// The standard diagnostic for an injected failure at \p Site.
 Diag injectedFaultDiag(const char *Site);
 
-/// Thrown by task bodies when the `pool.task` site fires; proves the
-/// thread-pool paths isolate a poisoned task (caught per task by the bench
-/// harness, rethrown lowest-index-first by ThreadPool::parallelMap).
+/// Thrown by evaluation-driver cells when the `pool.task` site fires;
+/// proves the driver isolates a poisoned cell (sim/Evaluate.h catches it
+/// per cell and turns it into a Failed result).
 class FaultInjectedError : public std::runtime_error {
 public:
   explicit FaultInjectedError(const std::string &Site)

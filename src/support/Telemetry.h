@@ -26,9 +26,10 @@
 /// the parent session. Merging in input order keeps the whole structure
 /// deterministic at any thread count.
 ///
-/// Sessions are installed/uninstalled with ScopedSession (RAII) — the CLI
-/// and bench harness attach one only when --stats/--trace/--json was
-/// given, so the instrumented hot paths cost nothing by default: no
+/// Sessions are installed/uninstalled with ScopedSession (RAII). The
+/// evaluation driver (sim/Evaluate.h) gives every strategy evaluation its
+/// own shard, whose `pipeline.*` span timers are the evaluation's phase
+/// times; code run with no session installed costs nothing: no
 /// allocation, no locking, no clock reads.
 ///
 /// The disabled fast path is allocation-free by construction: every helper

@@ -44,9 +44,6 @@
 #ifndef GDP_SUPPORT_THREADPOOL_H
 #define GDP_SUPPORT_THREADPOOL_H
 
-#include "support/Arena.h"
-#include "support/Budget.h"
-
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -111,21 +108,6 @@ public:
   /// True when this pool pinned its workers at construction (the toggle
   /// was on and the platform supports pinning).
   bool workersPinned() const { return Pinned; }
-
-  /// The calling thread's scratch arena (support/Arena.h): each worker —
-  /// and the submitting thread — owns one, so arena-backed task scratch
-  /// never crosses threads. Equivalent to threadScratchArena(); exposed
-  /// here because the pool is what hands threads out.
-  static Arena &threadScratch() { return threadScratchArena(); }
-
-  /// Cooperative-cancellation token shared by this pool's tasks. The pool
-  /// never checks it itself (a queued packaged_task must still run so its
-  /// future gets a value); cooperative task bodies poll it at loop
-  /// boundaries and return early once it trips, so one poisoned or
-  /// over-budget task winds the whole batch down without hanging
-  /// parallelFor/parallelMap (those still complete and rethrow the
-  /// lowest-indexed exception as always).
-  CancelToken &cancelToken() { return Cancel; }
 
   /// Schedules \p Fn and returns the future of its result. With zero
   /// workers the task runs here and now; the returned future is ready.
@@ -218,7 +200,6 @@ private:
 
   unsigned NumWorkers;
   bool Pinned = false;
-  CancelToken Cancel;
   std::vector<std::thread> Workers;
   std::mutex Mu;
   std::condition_variable QueueCV;

@@ -65,12 +65,6 @@ uint64_t TraceRecorder::allocSpanId() {
   return NextId.fetch_add(1, std::memory_order_relaxed);
 }
 
-void TraceRecorder::addComplete(const std::string &Name,
-                                const std::string &Category,
-                                uint64_t StartUs, uint64_t DurUs) {
-  addSpan(Name, Category, StartUs, DurUs, 0, 0, {});
-}
-
 void TraceRecorder::addSpan(const std::string &Name,
                             const std::string &Category, uint64_t StartUs,
                             uint64_t DurUs, uint64_t SpanId,

@@ -75,10 +75,6 @@ public:
   /// Allocates a recorder-unique span id (never 0).
   uint64_t allocSpanId();
 
-  /// Appends a complete ("X") event covering [StartUs, StartUs+DurUs).
-  void addComplete(const std::string &Name, const std::string &Category,
-                   uint64_t StartUs, uint64_t DurUs);
-
   /// Appends a complete event carrying span identity and attributes.
   void addSpan(const std::string &Name, const std::string &Category,
                uint64_t StartUs, uint64_t DurUs, uint64_t SpanId,

@@ -177,6 +177,63 @@ TEST(BenchDiff, CompileSpeedSchemaComparesWallSeconds) {
   EXPECT_TRUE(Fail.regressed());
 }
 
+TEST(BenchDiff, GenScaleSchemaGatesDeterministicFields) {
+  // A gdp-gen-scale-v1 file with one size, two thread counts and two
+  // strategies; \p GDPCycles is GDP's cycles at 2 threads.
+  auto File = [](uint64_t GDPCycles, double Sec, bool WithTwoThreads) {
+    auto Run = [&](unsigned Threads, uint64_t Cycles) {
+      return "{\"threads\": " + std::to_string(Threads) +
+             ", \"matrix_wall_sec\": " + std::to_string(Sec) +
+             ", \"strategies\": [{\"strategy\": \"GDP\", \"cycles\": " +
+             std::to_string(Cycles) +
+             ", \"dyn_moves\": 7, \"static_moves\": 3, \"rhop_runs\": 1, "
+             "\"partition_sec\": " +
+             std::to_string(Sec) +
+             "}, {\"strategy\": \"Naive\", \"cycles\": 900, "
+             "\"dyn_moves\": 9, \"static_moves\": 4, \"rhop_runs\": 1}]}";
+    };
+    std::string Runs = Run(1, 1000);
+    if (WithTwoThreads)
+      Runs += ", " + Run(2, GDPCycles);
+    return "{\"schema\": \"gdp-gen-scale-v1\", \"records\": [{\"ops\": "
+           "1000, \"prepare_sec\": " +
+           std::to_string(Sec) + ", \"thread_runs\": [" + Runs + "]}]}";
+  };
+  // Clean: equal deterministic fields; the *_sec fields may differ.
+  DiffResult Clean =
+      diffBenchJson(File(1000, 0.5, true), File(1000, 9.0, true),
+                    DiffOptions());
+  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  EXPECT_FALSE(Clean.regressed());
+  EXPECT_EQ(Clean.Deltas.size(), 16u); // 4 records x 4 metrics.
+  for (const MetricDelta &D : Clean.Deltas)
+    EXPECT_EQ(D.Metric.find("_sec"), std::string::npos) << D.Metric;
+
+  // Regressed: one cycle more for GDP at 2 threads, at tolerance 0.
+  DiffResult Worse = diffBenchJson(File(1000, 0.5, true),
+                                   File(1001, 0.5, true), DiffOptions());
+  ASSERT_TRUE(Worse.Ok);
+  ASSERT_EQ(Worse.Regressions, 1u);
+  for (const MetricDelta &D : Worse.Deltas)
+    if (D.Regressed) {
+      EXPECT_EQ(D.Key, "ops1000|threads2|GDP");
+      EXPECT_EQ(D.Metric, "cycles");
+    }
+
+  // Missing: the 2-thread run is absent; a regression unless allowed.
+  DiffResult Missing = diffBenchJson(File(1000, 0.5, true),
+                                     File(1000, 0.5, false), DiffOptions());
+  ASSERT_TRUE(Missing.Ok);
+  ASSERT_EQ(Missing.MissingInCurrent.size(), 2u);
+  EXPECT_EQ(Missing.MissingInCurrent[0], "ops1000|threads2|GDP");
+  EXPECT_TRUE(Missing.regressed());
+  DiffOptions Allow;
+  Allow.AllowMissing = true;
+  EXPECT_FALSE(diffBenchJson(File(1000, 0.5, true), File(1000, 0.5, false),
+                             Allow)
+                   .regressed());
+}
+
 TEST(BenchDiff, MalformedInputReportsError) {
   std::string Good = benchFile(1000, 50);
   DiffResult BadJson = diffBenchJson("{not json", Good, DiffOptions());

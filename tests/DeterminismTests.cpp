@@ -79,9 +79,9 @@ struct RunObservation {
 
 std::vector<RunObservation> observeMatrix(unsigned Threads) {
   bench::setThreads(Threads);
-  std::vector<PipelineResult> Results = bench::runMatrix(fullMatrix());
   std::vector<RunObservation> Out;
-  for (const PipelineResult &R : Results) {
+  for (const CellResult &E : bench::runMatrix(fullMatrix())) {
+    const PipelineResult &R = E.R;
     RunObservation Obs;
     Obs.Cycles = R.Cycles;
     Obs.DynamicMoves = R.DynamicMoves;

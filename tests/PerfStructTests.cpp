@@ -231,8 +231,8 @@ TEST(PreparedCacheTest, SecondGetHitsAndSharesTheSameEntry) {
   // Unique key so other tests sharing the process-wide cache can't have
   // populated it already.
   const std::string Key = "perfstruct-hit-miss";
-  auto First = Cache.get(Key, 1000000ULL, false, Build);
-  auto Second = Cache.get(Key, 1000000ULL, false, Build);
+  auto First = Cache.get(Key, false, Build);
+  auto Second = Cache.get(Key, false, Build);
 
   EXPECT_EQ(Builds, 1) << "the second get must not rebuild";
   EXPECT_EQ(First.get(), Second.get()) << "both gets share one entry";
@@ -254,8 +254,8 @@ TEST(PreparedCacheTest, DistinctOptionsAreDistinctEntries) {
     return buildWorkload("fir");
   };
   const std::string Key = "perfstruct-options";
-  auto Plain = Cache.get(Key, 1000000ULL, /*CaptureTrace=*/false, Build);
-  auto Traced = Cache.get(Key, 1000000ULL, /*CaptureTrace=*/true, Build);
+  auto Plain = Cache.get(Key, /*CaptureTrace=*/false, Build);
+  auto Traced = Cache.get(Key, /*CaptureTrace=*/true, Build);
 
   EXPECT_EQ(Builds, 2) << "a trace-capturing preparation is its own entry";
   EXPECT_NE(Plain.get(), Traced.get());
@@ -274,7 +274,7 @@ TEST(PreparedCacheTest, CachedResultsAreImmutableAcrossUses) {
   auto Build = [](std::vector<support::Diag> &) {
     return buildWorkload("viterbi");
   };
-  auto First = Cache.get(Key, 200000000ULL, false, Build);
+  auto First = Cache.get(Key, false, Build);
   ASSERT_TRUE(First->PP.Ok) << First->PP.Error;
 
   uint64_t TotalBefore = 0;
@@ -287,7 +287,7 @@ TEST(PreparedCacheTest, CachedResultsAreImmutableAcrossUses) {
   PipelineResult R = runStrategy(First->PP, Opt);
   EXPECT_GT(R.Cycles, 0u);
 
-  auto Second = Cache.get(Key, 200000000ULL, false, Build);
+  auto Second = Cache.get(Key, false, Build);
   EXPECT_EQ(Second.get(), First.get());
   uint64_t TotalAfter = 0;
   for (unsigned O = 0; O != Second->Prog->getNumObjects(); ++O)
@@ -306,8 +306,8 @@ TEST(PreparedCacheTest, FailedBuildsAreCachedToo) {
     return nullptr;
   };
   const std::string Key = "perfstruct-failure";
-  auto First = Cache.get(Key, 1000ULL, false, Build);
-  auto Second = Cache.get(Key, 1000ULL, false, Build);
+  auto First = Cache.get(Key, false, Build);
+  auto Second = Cache.get(Key, false, Build);
   EXPECT_EQ(Builds, 1) << "a deterministic failure is not retried";
   EXPECT_FALSE(First->Prog);
   EXPECT_FALSE(First->PP.Ok);
@@ -323,7 +323,7 @@ TEST(PreparedCacheTest, ThrowingBuildPropagatesAndLeavesNoEntry) {
   // exception and the next request for the key builds again.
   PreparedProgramCache Cache;
   const std::string Key = "perfstruct-throw";
-  EXPECT_THROW(Cache.get(Key, 200000000ULL, false,
+  EXPECT_THROW(Cache.get(Key, false,
                          [](std::vector<support::Diag> &)
                              -> std::unique_ptr<Program> {
                            throw std::runtime_error("build failed");
@@ -331,7 +331,7 @@ TEST(PreparedCacheTest, ThrowingBuildPropagatesAndLeavesNoEntry) {
                std::runtime_error);
   EXPECT_EQ(Cache.size(), 0u);
   int Builds = 0;
-  auto Entry = Cache.get(Key, 200000000ULL, false,
+  auto Entry = Cache.get(Key, false,
                          [&Builds](std::vector<support::Diag> &) {
                            ++Builds;
                            return buildWorkload("fir");
@@ -353,22 +353,22 @@ TEST(PreparedCacheTest, LruEvictsLeastRecentlyUsedFirst) {
     ++Builds;
     return buildWorkload("fir");
   };
-  Cache.get("a", 1000000ULL, false, Build);
-  Cache.get("b", 1000000ULL, false, Build);
+  Cache.get("a", false, Build);
+  Cache.get("b", false, Build);
   // Touch "a": now "b" is the least recently used.
-  Cache.get("a", 1000000ULL, false, Build);
+  Cache.get("a", false, Build);
   EXPECT_EQ(Builds, 2);
   EXPECT_EQ(Cache.size(), 2u);
 
-  Cache.get("c", 1000000ULL, false, Build);
+  Cache.get("c", false, Build);
   EXPECT_EQ(Builds, 3);
   EXPECT_EQ(Cache.size(), 2u) << "inserting past the cap must evict";
   EXPECT_EQ(Cache.evictionCount(), 1u);
 
   // "a" survived (recently used), "b" was the victim and rebuilds.
-  Cache.get("a", 1000000ULL, false, Build);
+  Cache.get("a", false, Build);
   EXPECT_EQ(Builds, 3) << "the recently-used entry must still be resident";
-  Cache.get("b", 1000000ULL, false, Build);
+  Cache.get("b", false, Build);
   EXPECT_EQ(Builds, 4) << "the evicted entry must rebuild";
   EXPECT_EQ(Cache.evictionCount(), 2u); // Re-inserting "b" evicted "c".
 
@@ -386,7 +386,7 @@ TEST(PreparedCacheTest, SetCapacityEvictsDownImmediately) {
     return buildWorkload("fir");
   };
   for (const char *Key : {"k1", "k2", "k3", "k4"})
-    Cache.get(Key, 1000000ULL, false, Build);
+    Cache.get(Key, false, Build);
   EXPECT_EQ(Cache.size(), 4u);
   EXPECT_EQ(Cache.evictionCount(), 0u);
 
@@ -395,7 +395,7 @@ TEST(PreparedCacheTest, SetCapacityEvictsDownImmediately) {
   EXPECT_EQ(Cache.evictionCount(), 3u);
   // The survivor is the most recently used key.
   int Builds = 0;
-  Cache.get("k4", 1000000ULL, false, [&Builds](std::vector<support::Diag> &) {
+  Cache.get("k4", false, [&Builds](std::vector<support::Diag> &) {
     ++Builds;
     return buildWorkload("fir");
   });
@@ -433,7 +433,7 @@ TEST(RefinementDeterminism, RecordsByteIdenticalAt1_2_8Threads) {
   std::vector<bench::SuiteEntry> Entries;
   for (const char *Name : {"fir", "histogram"}) {
     auto C = PreparedProgramCache::global().get(
-        Name, 200000000ULL, false,
+        Name, false,
         [Name](std::vector<support::Diag> &) { return buildWorkload(Name); });
     ASSERT_TRUE(C->PP.Ok) << Name << ": " << C->PP.Error;
     bench::SuiteEntry E;

@@ -101,8 +101,8 @@ std::string observe(const std::string &Name, const PreparedProgram &PP,
     R = runStrategy(PP, Opt);
   }
   std::string Out = bench::formatRecord(Name, strategyName(C.Strategy),
-                                        C.MoveLatency, R, &Session,
-                                        /*Deterministic=*/true);
+                                        C.MoveLatency, R, PP.PrepareSeconds,
+                                        Session, /*Deterministic=*/true);
   Out += formatStr(" clusters=%u homes=", C.Clusters);
   for (unsigned O = 0; O != R.Placement.getNumObjects(); ++O)
     Out += std::to_string(R.Placement.getHome(O)) + ",";
@@ -389,8 +389,8 @@ TEST(RHOPSharing, CopiesAndCacheEntriesShareOneAnalysesBundle) {
   auto Build = [](std::vector<support::Diag> &) {
     return buildWorkload("fir");
   };
-  auto First = Cache.get("fir", 200000000ULL, false, Build);
-  auto Second = Cache.get("fir", 200000000ULL, false, Build);
+  auto First = Cache.get("fir", false, Build);
+  auto Second = Cache.get("fir", false, Build);
   ASSERT_TRUE(First->PP.Ok);
   ASSERT_NE(First->PP.Analyses, nullptr);
   EXPECT_EQ(&First->PP.Analyses->program(), First->Prog.get());

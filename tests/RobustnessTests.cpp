@@ -406,7 +406,7 @@ TEST(Budgets, MeterTripsAndPropagatesCancellation) {
   B2.Cancel = &Tok;
   support::BudgetMeter M2(B2);
   EXPECT_TRUE(M2.charge());
-  Tok.cancel(); // External cancellation (e.g. ThreadPool::cancelToken()).
+  Tok.cancel(); // External cancellation (e.g. gdpd's drain).
   EXPECT_FALSE(M2.charge());
   EXPECT_EQ(M2.diag("pool").Code, StatusCode::Cancelled);
 }

@@ -427,7 +427,7 @@ TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
   // Resident slots of the warm cache's preparation of Spec.
   auto Slots = [&] {
     auto C = PreparedProgramCache::global().get(
-        Spec, 200000000ULL, /*CaptureTrace=*/false,
+        Spec, /*CaptureTrace=*/false,
         [](std::vector<support::Diag> &) { return nullptr; });
     return C->PP.Ok ? C->PP.Unlocked->size() : SIZE_MAX;
   };

@@ -63,8 +63,8 @@ const StrategyKind AllStrategies[] = {StrategyKind::Unified, StrategyKind::GDP,
 
 /// The full suite × 4 strategies at move latency 5, evaluated statically
 /// and simulated, once for every test that needs it.
-const std::vector<bench::SimEval> &matrixLat5() {
-  static const std::vector<bench::SimEval> Evals = [] {
+const std::vector<CellResult> &matrixLat5() {
+  static const std::vector<CellResult> Evals = [] {
     std::vector<bench::EvalTask> Tasks;
     for (const bench::SuiteEntry &E : suite())
       for (StrategyKind K : AllStrategies)
@@ -127,12 +127,12 @@ TEST(SimTest, CyclesBoundedByStaticEstimateAcrossSuite) {
   // Acceptance bound: for every (workload, strategy) at latency 5 the
   // simulation is >= the static estimate (blocks replay back to back at
   // their scheduled lengths) and within 25% of it.
-  const std::vector<bench::SimEval> &Evals = matrixLat5();
+  const std::vector<CellResult> &Evals = matrixLat5();
   ASSERT_EQ(Evals.size(), suite().size() * 4);
   size_t I = 0;
   for (const bench::SuiteEntry &E : suite())
     for (StrategyKind K : AllStrategies) {
-      const bench::SimEval &Ev = Evals[I++];
+      const CellResult &Ev = Evals[I++];
       ASSERT_TRUE(Ev.S.Ok) << E.Name << " " << strategyName(K) << ": "
                            << Ev.S.Error;
       EXPECT_GE(Ev.S.Cycles, Ev.R.Cycles)
@@ -182,15 +182,15 @@ TEST(SimTest, ReproducesFig78StrategyOrdering) {
   // The headline claim of Figures 7/8 — the relative order of the
   // strategies' average relative performance — must survive the switch
   // from static to simulated cycles, and each average must stay close.
-  const std::vector<bench::SimEval> &Evals = matrixLat5();
+  const std::vector<CellResult> &Evals = matrixLat5();
   // Index 0 of each group of 4 is Unified (the baseline).
   const size_t NumStrategies = 4;
   std::vector<double> StaticAvg(NumStrategies, 0), SimAvg(NumStrategies, 0);
   size_t NumBench = suite().size();
   for (size_t B = 0; B != NumBench; ++B) {
-    const bench::SimEval &U = Evals[B * NumStrategies];
+    const CellResult &U = Evals[B * NumStrategies];
     for (size_t S = 1; S != NumStrategies; ++S) {
-      const bench::SimEval &Ev = Evals[B * NumStrategies + S];
+      const CellResult &Ev = Evals[B * NumStrategies + S];
       StaticAvg[S] += bench::relativePerf(U.R.Cycles, Ev.R.Cycles);
       SimAvg[S] += bench::relativePerf(U.S.Cycles, Ev.S.Cycles);
     }

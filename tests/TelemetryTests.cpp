@@ -233,11 +233,6 @@ TEST(Telemetry, PipelinePhasesAppearInTraceAndStats) {
     Opt.Strategy = StrategyKind::GDP;
     PipelineResult R = runStrategy(PP, Opt);
     EXPECT_GT(R.Cycles, 0u);
-    // The per-phase breakdown must account for the legacy total.
-    EXPECT_DOUBLE_EQ(R.PartitionSeconds, R.Phases.partitionSeconds());
-    EXPECT_GT(R.Phases.RhopSeconds, 0.0);
-    EXPECT_GT(R.Phases.ScheduleSeconds, 0.0);
-    EXPECT_DOUBLE_EQ(R.Phases.PrepareSeconds, PP.PrepareSeconds);
   }
   // Every pipeline phase shows up as a complete trace event.
   bool SawPrepare = false, SawDataPart = false, SawRhop = false,

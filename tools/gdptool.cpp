@@ -33,7 +33,8 @@
 #include "sched/SchedulePrinter.h"
 #include "serve/Client.h"
 #include "serve/Daemon.h"
-#include "sim/Simulator.h"
+#include "sim/Evaluate.h"
+#include "support/Arena.h"
 #include "support/FaultInjector.h"
 #include "support/Status.h"
 #include "support/StrUtil.h"
@@ -192,7 +193,7 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
 }
 
 /// Installs a telemetry session when --stats/--trace was given (or when
-/// \p Always — the run command summarizes timings from it either way) and
+/// \p Always — the report command renders from it either way) and
 /// dumps the requested files on destruction.
 class TelemetryExport {
 public:
@@ -228,6 +229,12 @@ public:
   }
 
   telemetry::TelemetrySession *session() { return Session.get(); }
+
+  /// Folds one evaluation's shard into the session, when there is one.
+  void merge(const telemetry::TelemetrySession &Shard) {
+    if (Session)
+      Session->mergeFrom(Shard);
+  }
 
 private:
   std::unique_ptr<telemetry::TelemetrySession> Session;
@@ -285,7 +292,7 @@ std::shared_ptr<const CachedPreparation>
 loadPrepared(const std::string &Spec, bool CaptureTrace = false) {
   std::string Key = Spec + (OptimizeFlag ? "|opt" : "");
   return PreparedProgramCache::global().get(
-      Key, /*MaxSteps=*/200000000ULL, CaptureTrace,
+      Key, CaptureTrace,
       [&Spec](std::vector<support::Diag> &) {
         std::unique_ptr<Program> P = loadProgram(Spec);
         if (P)
@@ -427,55 +434,39 @@ std::vector<StrategyKind> parseStrategies(const std::string &StrategyArg) {
   return {};
 }
 
-/// One strategy evaluation of `run`, `sim` or `report`: the pipeline
-/// result, its trace simulation when one was asked for, and the private
-/// telemetry shard both recorded into.
-struct StrategyEval {
-  PipelineResult R;
-  SimResult S;
-  std::unique_ptr<telemetry::TelemetrySession> Shard;
-};
+/// The fault plan of this invocation: --faults= when given, else
+/// GDP_FAULTS.
+const support::FaultPlan *faultPlan() {
+  return FaultsFlag ? FaultsFlag.get() : support::FaultPlan::fromEnv();
+}
 
-/// Evaluates each strategy of \p Kinds on \p PP and, with \p Simulate,
-/// replays every usable result through the trace simulator. Evaluations
-/// are independent over shared read-only state, so they run concurrently
-/// under --threads. Each records into its own shard and counts fault hits
-/// in its own scope, `gdptool|<Verb>|<Spec>|<strategy>`; the caller merges
-/// the shards into its session in strategy order, so tables, timings and
-/// any --stats/--trace export are identical at every thread count.
-std::vector<StrategyEval>
+/// Evaluates each strategy of \p Kinds on \p PP through the evaluation
+/// driver (sim/Evaluate.h) and, with \p Simulate, replays every usable
+/// result through the trace simulator. The cells run concurrently under
+/// --threads; each records into its own shard and counts fault hits in its
+/// own scope, `gdptool|<Verb>|<Spec>|<strategy>`. The caller merges the
+/// shards into its session in strategy order, so tables, timings and any
+/// --stats/--trace export are identical at every thread count.
+std::vector<CellResult>
 evaluateStrategies(const char *Verb, const std::string &Spec,
                    const PreparedProgram &PP,
                    const std::vector<StrategyKind> &Kinds, unsigned Latency,
                    unsigned Clusters, bool Simulate) {
-  support::ThreadPool Pool(toolThreads() - 1);
-  return Pool.parallelMap(Kinds, [&](const StrategyKind &K) {
-    StrategyEval E;
-    E.Shard = std::make_unique<telemetry::TelemetrySession>();
-    // Merged --trace events carry the strategy's task index and hang off
-    // the span that was live when the task was submitted.
-    E.Shard->adoptTaskContext(telemetry::inheritedContext(),
-                              static_cast<int32_t>(&K - Kinds.data()));
-    telemetry::ScopedSession Scope(*E.Shard);
-    support::FaultScope Faults(
-        FaultsFlag ? FaultsFlag.get() : support::FaultPlan::fromEnv(),
-        std::string("gdptool|") + Verb + "|" + Spec + "|" + strategyName(K));
-    PipelineOptions Opt;
-    Opt.Strategy = K;
-    Opt.MoveLatency = Latency;
-    Opt.NumClusters = Clusters;
-    E.R = runStrategy(PP, Opt);
-    if (Simulate && E.R.ok())
-      E.S = simulateStrategy(PP, E.R, Opt);
-    return E;
-  });
+  std::vector<EvalCell> Cells(Kinds.size());
+  for (size_t I = 0; I != Kinds.size(); ++I) {
+    Cells[I].PP = &PP;
+    Cells[I].Opt.Strategy = Kinds[I];
+    Cells[I].Opt.MoveLatency = Latency;
+    Cells[I].Opt.NumClusters = Clusters;
+    Cells[I].Scope = std::string("gdptool|") + Verb + "|" + Spec + "|" +
+                     strategyName(Kinds[I]);
+  }
+  return evaluateCells(Cells, toolThreads(), faultPlan(), Simulate);
 }
 
 int cmdRun(const std::string &Spec, const std::string &StrategyArg,
            unsigned Latency, unsigned Clusters, bool ShowPlacement) {
-  // Always attach a session: the per-strategy timing summary below reads
-  // phase timers from the registry even when no JSON export was requested.
-  TelemetryExport Telemetry(/*Always=*/true);
+  TelemetryExport Telemetry;
   auto C = loadPrepared(Spec);
   if (!C->Prog)
     return 2;
@@ -494,7 +485,7 @@ int cmdRun(const std::string &Spec, const std::string &StrategyArg,
   std::printf("program %s on %u clusters, %u-cycle moves\n\n",
               P.getName().c_str(), Clusters, Latency);
 
-  std::vector<StrategyEval> Evals = evaluateStrategies(
+  std::vector<CellResult> Evals = evaluateStrategies(
       "run", Spec, PP, Kinds, Latency, Clusters, /*Simulate=*/false);
 
   TextTable Table({"strategy", "cycles", "dyn moves", "partition ms"});
@@ -504,14 +495,13 @@ int cmdRun(const std::string &Spec, const std::string &StrategyArg,
   for (size_t I = 0; I != Kinds.size(); ++I) {
     StrategyKind K = Kinds[I];
     const PipelineResult &R = Evals[I].R;
-    Telemetry.session()->mergeFrom(*Evals[I].Shard);
+    Telemetry.merge(*Evals[I].Shard);
     if (int Code = reportEvaluation(K, R))
       Exit = Code;
     // Per-strategy phase seconds come straight from the shard's timers.
-    auto Timers = Evals[I].Shard->stats().timerSnapshot();
-    auto Ms = [&](const char *Name) {
-      auto It = Timers.find(Name);
-      return (It == Timers.end() ? 0 : It->second) * 1e3;
+    const telemetry::StatsRegistry &Stats = Evals[I].Shard->stats();
+    auto Ms = [&Stats](const char *Name) {
+      return Stats.getTime(Name) * 1e3;
     };
     TimingLines.push_back(formatStr(
         "%-10s data-partition %8.2f ms | rhop %8.2f ms | schedule %8.2f ms",
@@ -525,7 +515,7 @@ int cmdRun(const std::string &Spec, const std::string &StrategyArg,
                   : formatStr("%llu",
                               static_cast<unsigned long long>(R.Cycles)),
          formatStr("%llu", static_cast<unsigned long long>(R.DynamicMoves)),
-         formatDouble(R.PartitionSeconds * 1e3, 2)});
+         formatDouble(partitionSeconds(Stats) * 1e3, 2)});
     if (ShowPlacement && !R.Failed && K != StrategyKind::Unified) {
       std::printf("%s placement:", strategyName(K));
       for (unsigned O = 0; O != P.getNumObjects(); ++O)
@@ -545,7 +535,7 @@ int cmdRun(const std::string &Spec, const std::string &StrategyArg,
 
 int cmdSim(const std::string &Spec, const std::string &StrategyArg,
            unsigned Latency, unsigned Clusters) {
-  TelemetryExport Telemetry(/*Always=*/true);
+  TelemetryExport Telemetry;
   auto C = loadPrepared(Spec, /*CaptureTrace=*/true);
   if (!C->Prog)
     return 2;
@@ -566,15 +556,15 @@ int cmdSim(const std::string &Spec, const std::string &StrategyArg,
               P.getName().c_str(), Clusters, Latency,
               static_cast<unsigned long long>(PP.Trace->numBlockEvents()));
 
-  std::vector<StrategyEval> Evals = evaluateStrategies(
+  std::vector<CellResult> Evals = evaluateStrategies(
       "sim", Spec, PP, Kinds, Latency, Clusters, /*Simulate=*/true);
 
   TextTable Table({"strategy", "static cycles", "sim cycles", "sim/static",
                    "bus stall", "move stall", "port stall", "remote"});
   int Exit = 0;
   for (size_t I = 0; I != Kinds.size(); ++I) {
-    const StrategyEval &E = Evals[I];
-    Telemetry.session()->mergeFrom(*E.Shard);
+    const CellResult &E = Evals[I];
+    Telemetry.merge(*E.Shard);
     if (int Code = reportEvaluation(Kinds[I], E.R))
       Exit = Code;
     if (E.R.Failed)
@@ -682,12 +672,12 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
   const Program &P = *C->Prog;
 
   std::vector<StrategyKind> Kinds = parseStrategies("all");
-  std::vector<StrategyEval> Evals = evaluateStrategies(
+  std::vector<CellResult> Evals = evaluateStrategies(
       "report", Spec, PP, Kinds, Latency, Clusters, /*Simulate=*/true);
 
   int Exit = 0;
   for (size_t I = 0; I != Kinds.size(); ++I) {
-    Telemetry.session()->mergeFrom(*Evals[I].Shard);
+    Telemetry.merge(*Evals[I].Shard);
     if (Evals[I].R.Failed || (!Evals[I].S.Ok && Evals[I].R.ok()))
       Exit = 3;
   }
@@ -714,7 +704,7 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
     ReportTable T({"strategy", "status", "cycles", "dyn moves",
                    "static moves", "rhop runs", "sim cycles", "sim/static"});
     for (size_t I = 0; I != Kinds.size(); ++I) {
-      const StrategyEval &E = Evals[I];
+      const CellResult &E = Evals[I];
       std::string Status = E.R.Failed     ? "failed"
                            : E.R.Degraded ? formatStr("degraded->%s",
                                                       strategyName(
@@ -742,11 +732,8 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
     ReportTable T({"strategy", "data-partition ms", "rhop ms", "schedule ms",
                    "total ms"});
     for (size_t I = 0; I != Kinds.size(); ++I) {
-      auto Timers = Evals[I].Shard->stats().timerSnapshot();
-      auto Ms = [&Timers](const char *Name) {
-        auto It = Timers.find(Name);
-        return (It == Timers.end() ? 0 : It->second) * 1e3;
-      };
+      const telemetry::StatsRegistry &Cell = Evals[I].Shard->stats();
+      auto Ms = [&Cell](const char *Name) { return Cell.getTime(Name) * 1e3; };
       double DP = Ms("pipeline.data_partition"), RH = Ms("pipeline.rhop"),
              SC = Ms("pipeline.schedule");
       T.addRow({strategyName(Kinds[I]), formatDouble(DP, 2),
@@ -1197,9 +1184,7 @@ int main(int argc, char **argv) {
   // One fault-counting scope spans the whole command, so `--faults=site:n`
   // means "the n-th hit of this invocation" regardless of strategy count
   // or thread schedule (docs/ROBUSTNESS.md).
-  const support::FaultPlan *Faults =
-      FaultsFlag ? FaultsFlag.get() : support::FaultPlan::fromEnv();
-  support::FaultScope Scope(Faults, "gdptool|" + Cmd + "|" + Spec);
+  support::FaultScope Scope(faultPlan(), "gdptool|" + Cmd + "|" + Spec);
   if (Cmd == "print")
     return cmdPrint(Spec, IncludeInit);
   if (Cmd == "profile")
