@@ -89,9 +89,12 @@ bool flatten(const JVal &Doc, std::map<std::string, FlatRecord> &Out,
     return true;
   }
   if (Schema == "gdp-gen-scale-v1") {
-    // One record per (program size, thread count, strategy). Only the
-    // deterministic fields gate: the *_sec fields are wall clock, zeroed
-    // by gen_scale's --deterministic mode and machine-dependent otherwise.
+    // One record per (program size, generator seed, thread count,
+    // strategy): gen_scale seeds each size by its position in --sizes, so
+    // the same size from a different seed is a different program. Only
+    // the deterministic fields gate: the *_sec fields are wall clock,
+    // zeroed by gen_scale's --deterministic mode and machine-dependent
+    // otherwise.
     if (!Doc.has("records") || Doc["records"].K != JVal::Array) {
       Error = "gdp-gen-scale-v1 file has no \"records\" array";
       return false;
@@ -99,6 +102,9 @@ bool flatten(const JVal &Doc, std::map<std::string, FlatRecord> &Out,
     for (const JVal &R : Doc["records"].Arr) {
       if (R.K != JVal::Object || !R.has("ops") || !R.has("thread_runs"))
         continue;
+      std::string Program = formatStr("ops%.0f", R["ops"].Num);
+      if (R.has("seed"))
+        Program += formatStr("|seed%.0f", R["seed"].Num);
       for (const JVal &T : R["thread_runs"].Arr) {
         if (T.K != JVal::Object || !T.has("threads") ||
             !T.has("strategies"))
@@ -106,9 +112,9 @@ bool flatten(const JVal &Doc, std::map<std::string, FlatRecord> &Out,
         for (const JVal &S : T["strategies"].Arr) {
           if (S.K != JVal::Object || !S.has("strategy"))
             continue;
-          FlatRecord &F = Out[formatStr("ops%.0f|threads%.0f|%s",
-                                        R["ops"].Num, T["threads"].Num,
-                                        S["strategy"].Str.c_str())];
+          FlatRecord &F =
+              Out[Program + formatStr("|threads%.0f|", T["threads"].Num) +
+                  S["strategy"].Str];
           for (const char *M :
                {"cycles", "dyn_moves", "static_moves", "rhop_runs"})
             if (S.has(M) && S[M].K == JVal::Number)

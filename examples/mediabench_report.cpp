@@ -27,7 +27,8 @@ int main(int argc, char **argv) {
   if (Latencies.empty())
     Latencies = {1, 5, 10};
 
-  // Prepare the whole suite once.
+  // Prepare the whole suite once: the paper's benchmarks, without the
+  // `extra` kernels the figure benches leave out too.
   struct Entry {
     std::string Name;
     std::unique_ptr<Program> P;
@@ -35,6 +36,8 @@ int main(int argc, char **argv) {
   };
   std::vector<Entry> Suite;
   for (const WorkloadInfo &W : allWorkloads()) {
+    if (W.Suite == "extra")
+      continue;
     Entry E;
     E.Name = W.Name;
     E.P = W.Build();

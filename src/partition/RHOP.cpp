@@ -30,9 +30,10 @@ struct RhopStats {
 
 /// Buffers reused across every region and pass of one runRHOP() call.
 struct RhopScratch {
-  explicit RhopScratch(support::Arena *A) : Order(A), Count(A) {}
+  explicit RhopScratch(support::Arena *A) : Order(A), Count(A), Est(A) {}
   support::ArenaVector<unsigned> Order; ///< Shuffled group visit order.
   support::ArenaVector<unsigned> Count; ///< Ops/cluster (balance tie-break).
+  ScheduleEstimator::State Est;         ///< The region being refined.
 };
 
 /// Everything about one region that does not depend on the evolving
@@ -304,52 +305,37 @@ void buildPlan(RegionPlan &Plan, const BlockDFG &DFG, const MachineModel &MM,
   }
 }
 
+/// Greedy group moves at one coarsening level. Scratch.Est and
+/// Scratch.Count describe \p Assign on entry and are kept in step with it.
 void refineLevel(const RegionPlan &Plan, unsigned Level,
                  std::vector<int> &Assign, const MachineModel &MM,
                  Random &RNG, RhopStats &RS, RhopScratch &Scratch) {
-  const ScheduleEstimator &Est = *Plan.Est;
+  ScheduleEstimator::State &Est = Scratch.Est;
+  auto &Count = Scratch.Count;
   unsigned NumClusters = MM.getNumClusters();
   unsigned GBase = Plan.LevelGroupOff[Level];
   unsigned NumGroups = Plan.groupsAt(Level);
 
-  // Ops-per-cluster table for the balance tie-break, maintained
-  // incrementally as groups move (no full rescan per candidate).
-  auto &Count = Scratch.Count;
-  Count.assign(NumClusters, 0);
-  for (unsigned Id : Plan.OpIds)
-    ++Count[static_cast<unsigned>(Assign[Id])];
-
-  auto SetGroup = [&](unsigned G, int From, int To) {
-    if (From == To)
-      return;
-    uint32_t Begin = Plan.MemberOff[GBase + G];
-    uint32_t End = Plan.MemberOff[GBase + G + 1];
-    for (uint32_t M = Begin; M != End; ++M)
-      Assign[Plan.OpIds[Plan.MemberIds[M]]] = To;
-    unsigned Size = End - Begin;
-    Count[static_cast<unsigned>(From)] -= Size;
-    Count[static_cast<unsigned>(To)] += Size;
-  };
-  auto OpBalance = [&]() {
-    // Max ops on any one cluster — the tie-break metric.
-    return *std::max_element(Count.begin(), Count.end());
+  // Max ops on any one cluster once Size ops go from From to To — the
+  // tie-break metric.
+  auto BalanceAfter = [&](unsigned From, unsigned To, unsigned Size) {
+    unsigned Max = 0;
+    for (unsigned C = 0; C != NumClusters; ++C)
+      Max = std::max(Max, Count[C] - (C == From ? Size : 0) +
+                              (C == To ? Size : 0));
+    return Max;
   };
 
   // Lexicographic objective: estimated schedule length, then
   // intercluster transfer count (moves the estimate hides still cost
-  // real bandwidth and energy), then operation balance.
-  auto Score = [&]() {
-    unsigned Moves;
-    unsigned Len = Est.estimateWithMoves(Assign, Moves);
-    return std::make_tuple(Len, Moves, OpBalance());
-  };
-
-  // Score() is a pure function of (Assign, Count), and every trial either
-  // restores the pre-trial state or commits the best candidate — whose
-  // score we already have. So the current state's score only needs the
-  // estimator once per level; after that it is carried from group to
-  // group and across passes instead of being recomputed.
-  auto CurScore = Score();
+  // real bandwidth and energy), then operation balance. A score is a pure
+  // function of the assignment, so each trial is scored from whichever
+  // placement is current; a trial that beats the best so far is
+  // committed, any other is undone, and the current score is carried
+  // from group to group and across passes instead of being recomputed.
+  auto CurScore = std::make_tuple(Est.length(), Est.moves(),
+                                  *std::max_element(Count.begin(),
+                                                    Count.end()));
 
   // Persistent, deterministically shuffled visit order.
   auto &Order = Scratch.Order;
@@ -362,28 +348,39 @@ void refineLevel(const RegionPlan &Plan, unsigned Level,
       std::swap(Order[I - 1], Order[RNG.nextBelow(I)]);
 
     for (unsigned G : Order) {
-      if (Plan.GroupLock[GBase + G] >= 0 ||
-          Plan.MemberOff[GBase + G] == Plan.MemberOff[GBase + G + 1])
+      uint32_t Begin = Plan.MemberOff[GBase + G];
+      uint32_t End = Plan.MemberOff[GBase + G + 1];
+      if (Plan.GroupLock[GBase + G] >= 0 || Begin == End)
         continue;
+      const unsigned *Members = Plan.MemberIds.data();
+      unsigned Size = End - Begin;
       // Representative: first (smallest) member local index.
-      int Cur = Assign[Plan.OpIds[Plan.MemberIds[Plan.MemberOff[GBase + G]]]];
+      unsigned Cur = Est.clusterOf(Members[Begin]);
       auto BestScore = CurScore;
-      int Best = Cur;
-      int At = Cur; // where the group currently sits during trials
+      unsigned Best = Cur;
       for (unsigned C = 0; C != NumClusters; ++C) {
-        if (static_cast<int>(C) == Cur)
+        if (C == Cur)
           continue;
-        SetGroup(G, At, static_cast<int>(C));
-        At = static_cast<int>(C);
-        auto S = Score();
-        if (S < BestScore) {
-          Best = static_cast<int>(C);
-          BestScore = S;
+        // A trial longer than the best can never win (strict <).
+        if (Est.tryMove(Members + Begin, Members + End, C,
+                        std::get<0>(BestScore))) {
+          auto S = std::make_tuple(Est.length(), Est.moves(),
+                                   BalanceAfter(Best, C, Size));
+          if (S < BestScore) {
+            Est.commit();
+            Count[Best] -= Size;
+            Count[C] += Size;
+            Best = C;
+            BestScore = S;
+            continue;
+          }
         }
+        Est.undo();
       }
-      SetGroup(G, At, Best);
       CurScore = BestScore;
       if (Best != Cur) {
+        for (uint32_t M = Begin; M != End; ++M)
+          Assign[Plan.OpIds[Members[M]]] = static_cast<int>(Best);
         Moved = true;
         ++RS.GroupMoves;
       }
@@ -416,26 +413,35 @@ void runRegion(const BlockDFG &DFG, RegionPlan &Plan, const MachineModel &MM,
 
   RS.CoarsenLevels += Plan.Levels - 1;
 
-  for (unsigned Level = Plan.Levels; Level-- > 0;) {
-    unsigned GBase = Plan.LevelGroupOff[Level];
-    // Groups must start internally consistent: align every member with
-    // the group's representative (locks win).
-    for (unsigned G = 0, E = Plan.groupsAt(Level); G != E; ++G) {
-      uint32_t Begin = Plan.MemberOff[GBase + G];
-      uint32_t End = Plan.MemberOff[GBase + G + 1];
-      if (Begin == End)
-        continue;
-      int Cluster = Plan.GroupLock[GBase + G] >= 0
-                        ? Plan.GroupLock[GBase + G]
-                        : Assign[Plan.OpIds[Plan.MemberIds[Begin]]];
-      for (uint32_t M = Begin; M != End; ++M) {
-        unsigned Local = Plan.MemberIds[M];
-        if (Plan.LockOf[Local] < 0)
-          Assign[Plan.OpIds[Local]] = Cluster;
-      }
+  // Groups must start internally consistent: align every member of a
+  // top-level group with the group's representative (locks win). Each
+  // level's groups split the groups of the level above, and refinement
+  // moves whole groups, so every finer level starts consistent too and
+  // one estimate, loaded here, serves the whole hierarchy.
+  unsigned GBase = Plan.LevelGroupOff[Plan.Levels - 1];
+  for (unsigned G = 0, E = Plan.groupsAt(Plan.Levels - 1); G != E; ++G) {
+    uint32_t Begin = Plan.MemberOff[GBase + G];
+    uint32_t End = Plan.MemberOff[GBase + G + 1];
+    if (Begin == End)
+      continue;
+    int Cluster = Plan.GroupLock[GBase + G] >= 0
+                      ? Plan.GroupLock[GBase + G]
+                      : Assign[Plan.OpIds[Plan.MemberIds[Begin]]];
+    for (uint32_t M = Begin; M != End; ++M) {
+      unsigned Local = Plan.MemberIds[M];
+      if (Plan.LockOf[Local] < 0)
+        Assign[Plan.OpIds[Local]] = Cluster;
     }
-    refineLevel(Plan, Level, Assign, MM, RNG, RS, Scratch);
   }
+  Scratch.Est.load(*Plan.Est, Assign);
+  // Ops per cluster, for the balance tie-break.
+  auto &Count = Scratch.Count;
+  Count.assign(MM.getNumClusters(), 0);
+  for (unsigned Id : Plan.OpIds)
+    ++Count[static_cast<unsigned>(Assign[Id])];
+
+  for (unsigned Level = Plan.Levels; Level-- > 0;)
+    refineLevel(Plan, Level, Assign, MM, RNG, RS, Scratch);
 }
 
 } // namespace

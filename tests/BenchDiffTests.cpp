@@ -234,6 +234,39 @@ TEST(BenchDiff, GenScaleSchemaGatesDeterministicFields) {
                    .regressed());
 }
 
+TEST(BenchDiff, GenScaleRecordsFromDifferentSeedsDoNotCompare) {
+  // gen_scale seeds each size by its position in --sizes, so a lone
+  // --sizes=100000 run generates seed 101 where the baseline's 10^5-op
+  // program is seed 103: a different program, not a regression.
+  auto File = [](unsigned Seed, unsigned Cycles) {
+    return "{\"schema\": \"gdp-gen-scale-v1\", \"records\": [{\"ops\": "
+           "100000, \"seed\": " +
+           std::to_string(Seed) +
+           ", \"thread_runs\": [{\"threads\": 1, \"strategies\": "
+           "[{\"strategy\": \"GDP\", \"cycles\": " +
+           std::to_string(Cycles) +
+           ", \"dyn_moves\": 7, \"static_moves\": 3, \"rhop_runs\": 1}]}]}]}";
+  };
+  DiffOptions Allow;
+  Allow.AllowMissing = true;
+  DiffResult Other =
+      diffBenchJson(File(103, 30467), File(101, 3574786), Allow);
+  ASSERT_TRUE(Other.Ok) << Other.Error;
+  EXPECT_FALSE(Other.regressed());
+  EXPECT_TRUE(Other.Deltas.empty());
+  ASSERT_EQ(Other.MissingInCurrent.size(), 1u);
+  EXPECT_EQ(Other.MissingInCurrent[0], "ops100000|seed103|threads1|GDP");
+  ASSERT_EQ(Other.NewInCurrent.size(), 1u);
+  EXPECT_EQ(Other.NewInCurrent[0], "ops100000|seed101|threads1|GDP");
+
+  // The same seed still compares, and still gates.
+  DiffResult Same =
+      diffBenchJson(File(103, 30467), File(103, 30468), DiffOptions());
+  ASSERT_TRUE(Same.Ok);
+  EXPECT_EQ(Same.Regressions, 1u);
+  EXPECT_TRUE(Same.MissingInCurrent.empty());
+}
+
 TEST(BenchDiff, MalformedInputReportsError) {
   std::string Good = benchFile(1000, 50);
   DiffResult BadJson = diffBenchJson("{not json", Good, DiffOptions());

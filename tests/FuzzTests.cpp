@@ -131,8 +131,9 @@ TEST_P(SchedFuzzTest, RandomAssignmentsKeepSchedulerInvariants) {
       }
       // The estimator never exceeds the real schedule (it is a max of
       // lower bounds).
-      unsigned Moves = 0;
-      EXPECT_LE(Est.estimateWithMoves(Assign, Moves), BS.Length + 1);
+      ScheduleEstimator::State S;
+      S.load(Est, Assign);
+      EXPECT_LE(S.length(), BS.Length + 1);
     }
   }
 }

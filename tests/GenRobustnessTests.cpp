@@ -43,14 +43,16 @@ FaultPlan mustParse(const std::string &Spec) {
 /// contract.
 void expectStructuredOutcome(const PipelineResult &R,
                              const std::string &Context) {
-  if (R.Failed)
+  if (R.Failed) {
     EXPECT_FALSE(R.Diags.empty())
         << Context << ": failed evaluation carries no diagnostics";
-  else if (R.Degraded)
+  } else if (R.Degraded) {
     EXPECT_FALSE(R.Diags.empty())
         << Context << ": degraded evaluation carries no diagnostics";
-  if (!R.Failed)
+  }
+  if (!R.Failed) {
     EXPECT_GT(R.Cycles, 0u) << Context;
+  }
 }
 
 TEST(GenRobustness, FaultSweepNeverCrashesAndDiagsAreStructured) {

@@ -65,11 +65,13 @@ class OpcodeArityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(OpcodeArityTest, DestConsistentWithHasDest) {
   Opcode Op = static_cast<Opcode>(GetParam());
-  if (opcodeHasDest(Op))
+  if (opcodeHasDest(Op)) {
     EXPECT_NE(opcodeNumSrcs(Op), -2); // trivial sanity; hasDest well-defined
+  }
   // Terminators never produce values except none.
-  if (opcodeIsTerminator(Op))
+  if (opcodeIsTerminator(Op)) {
     EXPECT_FALSE(opcodeHasDest(Op));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOpcodes, OpcodeArityTest,

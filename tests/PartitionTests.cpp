@@ -286,9 +286,10 @@ TEST(RHOPTest, RespectsLocks) {
   for (const auto &BB : F.blocks())
     for (const auto &Op : BB->operations()) {
       int Lock = Locks[0][static_cast<unsigned>(Op->getId())];
-      if (Lock >= 0)
+      if (Lock >= 0) {
         EXPECT_EQ(CA.get(0, static_cast<unsigned>(Op->getId())), Lock)
             << "locked op moved";
+      }
     }
 }
 
@@ -362,8 +363,9 @@ TEST(PipelineTest, StrategiesProduceCompleteResults) {
     PipelineResult R = runStrategy(PP, Opt);
     EXPECT_GT(R.Cycles, 0u) << strategyName(K);
     EXPECT_GE(R.RHOPRuns, 1u);
-    if (K == StrategyKind::ProfileMax)
+    if (K == StrategyKind::ProfileMax) {
       EXPECT_EQ(R.RHOPRuns, 2u);
+    }
   }
 }
 

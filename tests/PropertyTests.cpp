@@ -73,9 +73,11 @@ TEST_P(RandomProgramTest, AllStrategiesSucceedWithInvariants) {
     PipelineResult R = runStrategy(PP, Opt);
     EXPECT_GT(R.Cycles, 0u) << strategyName(K);
     // Placement completeness for the placing strategies.
-    if (K != StrategyKind::Unified)
-      for (unsigned O = 0; O != P->getNumObjects(); ++O)
+    if (K != StrategyKind::Unified) {
+      for (unsigned O = 0; O != P->getNumObjects(); ++O) {
         EXPECT_GE(R.Placement.getHome(O), 0) << strategyName(K);
+      }
+    }
     // Assignment covers every op with a valid cluster.
     for (unsigned F = 0; F != P->getNumFunctions(); ++F) {
       const Function &Fn = P->getFunction(F);
@@ -102,9 +104,10 @@ TEST_P(RandomProgramTest, GDPLocksHoldInFinalAssignment) {
     for (const auto &BB : Fn.blocks())
       for (const auto &Op : BB->operations()) {
         int Lock = Locks[F][static_cast<unsigned>(Op->getId())];
-        if (Lock >= 0)
+        if (Lock >= 0) {
           EXPECT_EQ(R.Assignment.get(F, static_cast<unsigned>(Op->getId())),
                     Lock);
+        }
       }
   }
 }

@@ -341,21 +341,24 @@ TEST(EstimatorTest, MatchesResourceBound) {
   R.finalize();
   MachineModel MM = MachineModel::makeDefault();
   ScheduleEstimator Est(*R.DFG, MM);
-  unsigned Moves = 0;
-  EXPECT_GE(Est.estimateWithMoves(R.uniformAssign(0), Moves), 5u);
+  ScheduleEstimator::State S;
+  S.load(Est, R.uniformAssign(0));
+  EXPECT_GE(S.length(), 5u);
 }
 
 TEST(EstimatorTest, CrossClusterAddsMoveLatencyToCP) {
   Region R = makeSimpleBlock();
   MachineModel MM = MachineModel::makeDefault(2, 5);
   ScheduleEstimator Est(*R.DFG, MM);
-  unsigned Moves = 0;
-  unsigned Local = Est.estimateWithMoves(R.uniformAssign(0), Moves);
+  ScheduleEstimator::State S;
+  S.load(Est, R.uniformAssign(0));
+  unsigned Local = S.length();
   std::vector<int> Split = R.uniformAssign(0);
   const BasicBlock &BB = R.F->getEntryBlock();
   Split[static_cast<unsigned>(BB.getOp(BB.size() - 2).getId())] = 1;
   Split[static_cast<unsigned>(BB.getOp(BB.size() - 1).getId())] = 1;
-  EXPECT_GE(Est.estimateWithMoves(Split, Moves), Local + 4);
+  S.load(Est, Split);
+  EXPECT_GE(S.length(), Local + 4);
 }
 
 TEST(EstimatorTest, CountMovesDedups) {
@@ -374,9 +377,9 @@ TEST(EstimatorTest, CountMovesDedups) {
   std::vector<int> Assign = R.uniformAssign(1);
   Assign[static_cast<unsigned>(
       R.F->getEntryBlock().getOp(0).getId())] = 0;
-  unsigned Moves = 0;
-  Est.estimateWithMoves(Assign, Moves);
-  EXPECT_EQ(Moves, 1u);
+  ScheduleEstimator::State S;
+  S.load(Est, Assign);
+  EXPECT_EQ(S.moves(), 1u);
 }
 
 TEST(EstimatorTest, TracksSchedulerOrdering) {
@@ -386,9 +389,9 @@ TEST(EstimatorTest, TracksSchedulerOrdering) {
   MachineModel MM = MachineModel::makeDefault(2, 10);
   ScheduleEstimator Est(*R.DFG, MM);
   BlockSchedule Real = scheduleBlock(*R.DFG, MM, R.uniformAssign(0));
-  unsigned Moves = 0;
-  unsigned E = Est.estimateWithMoves(R.uniformAssign(0), Moves);
-  EXPECT_LE(E, Real.Length + 2);
+  ScheduleEstimator::State S;
+  S.load(Est, R.uniformAssign(0));
+  EXPECT_LE(S.length(), Real.Length + 2);
 }
 
 TEST(SchedulePrinterTest, RendersEveryIssuedOperation) {
@@ -437,8 +440,9 @@ TEST(EstimatorTest, LowerBoundsRealScheduleAcrossSuite) {
               Res.Assignment.func(static_cast<unsigned>(F->getId()));
           BlockSchedule BS = scheduleBlock(DFG, MM, Assign);
           ScheduleEstimator Est(DFG, MM);
-          unsigned Moves = 0;
-          EXPECT_LE(Est.estimateWithMoves(Assign, Moves), BS.Length)
+          ScheduleEstimator::State S;
+          S.load(Est, Assign);
+          EXPECT_LE(S.length(), BS.Length)
               << W.Name << " " << F->getName() << " bb" << Bk << " lat"
               << Lat;
         }
