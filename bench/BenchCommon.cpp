@@ -7,10 +7,11 @@
 #include "support/Json.h"
 #include "support/ThreadPool.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -22,10 +23,6 @@ namespace {
 
 std::string JsonPath;
 std::vector<std::string> JsonRecords;
-// One record per (benchmark, strategy, latency): google-benchmark timing
-// loops re-evaluate the same configuration thousands of times, and each
-// re-evaluation replaces its record instead of appending.
-std::map<std::string, size_t> JsonRecordIndex;
 unsigned NumThreads = 0; // 0 = not yet resolved (env default).
 bool DeterministicFlag = false;
 
@@ -53,15 +50,6 @@ void flushJson() {
   if (std::rename(Tmp.c_str(), JsonPath.c_str()) != 0)
     std::fprintf(stderr, "error: cannot rename '%s' to '%s'\n", Tmp.c_str(),
                  JsonPath.c_str());
-}
-
-/// Appends (or replaces) one finished record under its dedup key.
-void appendRecord(const std::string &Key, std::string Rec) {
-  auto [It, Inserted] = JsonRecordIndex.emplace(Key, JsonRecords.size());
-  if (Inserted)
-    JsonRecords.push_back(std::move(Rec));
-  else
-    JsonRecords[It->second] = std::move(Rec);
 }
 
 /// The machine-configuration sub-object of a --json record, so sim-vs-
@@ -93,11 +81,10 @@ const support::FaultPlan *benchFaultPlan() {
                            : support::FaultPlan::fromEnv();
 }
 
-/// The fault-scope name of one matrix cell ("bench|Strategy|latN"), also
-/// its --json dedup key. One scope per cell means an injected fault fires
-/// in exactly the same cells at any thread count (the determinism contract
-/// in support/FaultInjector.h), and a `@filter` rule can single a cell
-/// out.
+/// The fault-scope name of one matrix cell ("bench|Strategy|latN"). One
+/// scope per cell means an injected fault fires in exactly the same cells
+/// at any thread count (the determinism contract in
+/// support/FaultInjector.h), and a `@filter` rule can single a cell out.
 std::string cellName(const EvalTask &T) {
   return T.Entry->Name + "|" + strategyName(T.Strategy) + "|lat" +
          std::to_string(T.MoveLatency);
@@ -188,6 +175,28 @@ void gdp::bench::initBench(int &argc, char **argv) {
     std::atexit(flushJson);
 }
 
+void gdp::bench::expectNoArgs(int argc, char **argv) {
+  if (argc < 2)
+    return;
+  const char *Slash = std::strrchr(argv[0], '/');
+  usageError(argv[1], std::string(Slash ? Slash + 1 : argv[0]) +
+                          " [--json=FILE] [--threads=N] [--deterministic] "
+                          "[--affinity[=V]]");
+}
+
+void gdp::bench::usageError(const std::string &Arg, const std::string &Usage) {
+  std::fprintf(stderr, "error: bad argument '%s'\nusage: %s\n", Arg.c_str(),
+               Usage.c_str());
+  JsonPath.clear(); // A rejected run leaves any existing --json file alone.
+  std::exit(1);
+}
+
+bool gdp::bench::parsePositive(const std::string &Text, unsigned &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End && Out > 0;
+}
+
 bool gdp::bench::affinity() { return support::threadAffinityEnabled(); }
 
 bool gdp::bench::jsonEnabled() { return !JsonPath.empty(); }
@@ -276,8 +285,7 @@ void gdp::bench::recordExhaustive(const std::string &Benchmark,
                                   const ExhaustiveResult &R) {
   if (!jsonEnabled())
     return;
-  appendRecord(Benchmark + "|Exhaustive|" + std::to_string(MoveLatency),
-               formatExhaustiveRecord(Benchmark, MoveLatency, R));
+  JsonRecords.push_back(formatExhaustiveRecord(Benchmark, MoveLatency, R));
 }
 
 std::vector<SuiteEntry> gdp::bench::loadSuite(bool CaptureTraces) {
@@ -322,8 +330,8 @@ gdp::bench::runMatrix(const std::vector<EvalTask> &Tasks) {
   // to a serial run's.
   if (jsonEnabled())
     for (size_t I = 0; I != Tasks.size(); ++I)
-      appendRecord(cellName(Tasks[I]),
-                   taskRecord(Tasks[I], Evals[I], deterministicRecords()));
+      JsonRecords.push_back(
+          taskRecord(Tasks[I], Evals[I], deterministicRecords()));
   return Evals;
 }
 
@@ -393,7 +401,7 @@ gdp::bench::runSimMatrix(const std::vector<EvalTask> &Tasks) {
                    T.Entry->Name.c_str(), strategyName(T.Strategy),
                    Evals[I].S.Error.c_str());
     if (jsonEnabled())
-      appendRecord(cellName(T) + "|sim", taskSimRecord(T, Evals[I]));
+      JsonRecords.push_back(taskSimRecord(T, Evals[I]));
   }
   return Evals;
 }

@@ -59,12 +59,13 @@ struct EvalTask {
   unsigned MoveLatency = 5;
 };
 
-/// Parses and strips the harness-level flags out of argv so the remaining
-/// arguments can go to the binary's own parser (e.g. google-benchmark).
-/// Call it first thing in main(). Recognizes:
-///   --json=FILE      append one machine-readable record per (benchmark,
-///                    strategy) evaluation done through run()/runMatrix();
-///                    the file is written atomically when the process exits.
+/// Parses and strips the harness-level flags out of argv, leaving the
+/// binary's own flags for its parser; a binary with none calls
+/// expectNoArgs() next. Call it first thing in main(). Recognizes:
+///   --json=FILE      append one machine-readable record per evaluation
+///                    done through run()/runMatrix()/runSimMatrix(), one
+///                    per (benchmark, strategy, latency); the file is
+///                    written atomically when the process exits.
 ///   --threads=N      evaluate the matrix on N threads (default: the
 ///                    GDP_THREADS environment variable, else 1 = serial).
 ///   --deterministic  zero the wall-clock fields of --json records so two
@@ -74,6 +75,19 @@ struct EvalTask {
 ///                    0/off/false; anything else is a UsageError (exit 2).
 ///                    Placement only — records are identical either way.
 void initBench(int &argc, char **argv);
+
+/// For binaries with no flags of their own: calls usageError() when
+/// initBench() left an argument in \p argv.
+void expectNoArgs(int argc, char **argv);
+
+/// Prints "error: bad argument 'ARG'" and "usage: USAGE" to stderr and
+/// exits 1, as gdptool does for a bad flag. No --json file is written.
+[[noreturn]] void usageError(const std::string &Arg, const std::string &Usage);
+
+/// Parses \p Text as a positive decimal integer (a --lat=N value) into
+/// \p Out. False for anything else: empty, signed, trailing text, zero or
+/// out of range.
+bool parsePositive(const std::string &Text, unsigned &Out);
 
 /// True when --json=FILE was given to initBench().
 bool jsonEnabled();

@@ -16,6 +16,7 @@ using namespace gdp::bench;
 
 int main(int argc, char **argv) {
   initBench(argc, argv);
+  expectNoArgs(argc, argv);
   banner("Ablation B: GDP memory-balance tolerance sweep (5-cycle moves)",
          "Chu & Mahlke, CGO'06, §4.3 (balance/performance trade-off)");
 

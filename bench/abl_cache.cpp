@@ -19,10 +19,19 @@ using namespace gdp::bench;
 
 int main(int argc, char **argv) {
   initBench(argc, argv);
+  expectNoArgs(argc, argv);
   banner("Ablation D: data placement under partitioned caches",
          "Chu & Mahlke, CGO'06, §5 (future work, implemented here)");
 
   auto Suite = loadSuite();
+  // Schedules do not depend on the cache model: evaluate GDP and Naive
+  // once per workload, then price each placement at every capacity.
+  std::vector<EvalTask> Tasks;
+  for (const SuiteEntry &E : Suite)
+    for (StrategyKind K : {StrategyKind::GDP, StrategyKind::Naive})
+      Tasks.push_back({&E, K, 5});
+  std::vector<CellResult> Results = runMatrix(Tasks);
+
   for (uint64_t CapacityBytes : {1024ULL, 2048ULL, 4096ULL}) {
     CacheConfig Config;
     Config.CapacityBytes = CapacityBytes;
@@ -33,9 +42,10 @@ int main(int argc, char **argv) {
     TextTable Table({"benchmark", "GDP miss%", "Naive miss%",
                      "GDP total cyc", "Naive total cyc", "GDP vs Naive"});
     Stats Advantage;
+    size_t Next = 0;
     for (const SuiteEntry &E : Suite) {
-      PipelineResult GDPRes = run(E, StrategyKind::GDP, 5);
-      PipelineResult NaiveRes = run(E, StrategyKind::Naive, 5);
+      const PipelineResult &GDPRes = Results[Next++].R;
+      const PipelineResult &NaiveRes = Results[Next++].R;
       CacheOutcome GDPCache = evaluateCachePlacement(
           *E.P, E.PP.Prof, GDPRes.Placement, 2, Config);
       CacheOutcome NaiveCache = evaluateCachePlacement(

@@ -16,6 +16,7 @@ using namespace gdp::bench;
 
 int main(int argc, char **argv) {
   initBench(argc, argv);
+  expectNoArgs(argc, argv);
   banner("Ablation C: cluster-count scaling (GDP vs unified, 5-cycle moves)",
          "extension of Chu & Mahlke, CGO'06 §4 (machine scaling)");
 

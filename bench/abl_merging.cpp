@@ -16,6 +16,7 @@ using namespace gdp::bench;
 
 int main(int argc, char **argv) {
   initBench(argc, argv);
+  expectNoArgs(argc, argv);
   banner("Ablation A: access-pattern merging policies (GDP, 5-cycle moves)",
          "Chu & Mahlke, CGO'06, §3.3.1 (design-choice discussion)");
 

@@ -19,6 +19,7 @@ using namespace gdp::bench;
 
 int main(int argc, char **argv) {
   initBench(argc, argv);
+  expectNoArgs(argc, argv);
   banner("Figure 10: increase in dynamic intercluster moves vs unified "
          "memory (5-cycle latency)",
          "Chu & Mahlke, CGO'06, Figure 10");

@@ -18,6 +18,7 @@ using namespace gdp::bench;
 
 int main(int argc, char **argv) {
   initBench(argc, argv);
+  expectNoArgs(argc, argv);
   banner("Figure 2: cycle increase of Naive data placement vs unified memory",
          "Chu & Mahlke, CGO'06, Figure 2");
 

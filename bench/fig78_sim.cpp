@@ -17,8 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace gdp;
 using namespace gdp::bench;
@@ -27,14 +25,11 @@ int main(int argc, char **argv) {
   initBench(argc, argv);
   unsigned MoveLatency = 5;
   for (int I = 1; I < argc; ++I) {
-    if (std::strncmp(argv[I], "--lat=", 6) == 0) {
-      int N = std::atoi(argv[I] + 6);
-      MoveLatency = N > 0 ? static_cast<unsigned>(N) : 5;
-    } else {
-      std::fprintf(stderr, "usage: fig78_sim [--lat=N] [--json=FILE] "
-                           "[--threads=N] [--deterministic]\n");
-      return 1;
-    }
+    std::string Arg = argv[I];
+    if (Arg.rfind("--lat=", 0) != 0 ||
+        !parsePositive(Arg.substr(6), MoveLatency))
+      usageError(Arg, "fig78_sim [--lat=N] [--json=FILE] [--threads=N] "
+                      "[--deterministic]");
   }
 
   banner("Figures 7/8 (simulated): relative performance from trace-driven "

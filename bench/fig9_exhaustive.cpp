@@ -95,6 +95,7 @@ void runOne(const SuiteEntry &E) {
 
 int main(int argc, char **argv) {
   initBench(argc, argv);
+  expectNoArgs(argc, argv);
   banner("Figure 9: exhaustive search of all data-object mappings",
          "Chu & Mahlke, CGO'06, Figure 9(a)/(b)");
   auto Suite = loadSuite();

@@ -28,7 +28,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -93,24 +92,17 @@ struct SizeRecord {
   bool DeterministicAcrossThreads = true;
 };
 
+/// Parses a comma-separated list of positive integers into \p Out.
 bool parseList(const std::string &V, std::vector<unsigned> &Out) {
   Out.clear();
-  size_t Pos = 0;
-  while (Pos <= V.size()) {
+  for (size_t Pos = 0;;) {
     size_t Comma = V.find(',', Pos);
-    std::string Tok = V.substr(Pos, Comma == std::string::npos
-                                        ? std::string::npos
-                                        : Comma - Pos);
-    if (Tok.empty() ||
-        Tok.find_first_not_of("0123456789") != std::string::npos)
+    if (!parsePositive(V.substr(Pos, Comma - Pos), Out.emplace_back()))
       return false;
-    Out.push_back(static_cast<unsigned>(std::strtoul(Tok.c_str(),
-                                                     nullptr, 10)));
     if (Comma == std::string::npos)
-      break;
+      return true;
     Pos = Comma + 1;
   }
-  return !Out.empty();
 }
 
 std::string renderJson(const std::vector<SizeRecord> &Records,
@@ -183,16 +175,13 @@ int main(int argc, char **argv) {
     else if (Arg.rfind("--threads-list=", 0) == 0)
       Ok = parseList(Arg.substr(15), ThreadCounts);
     else if (Arg.rfind("--lat=", 0) == 0)
-      Latency = static_cast<unsigned>(std::atoi(Arg.c_str() + 6));
+      Ok = parsePositive(Arg.substr(6), Latency);
     else
       Ok = false;
-    if (!Ok) {
-      std::fprintf(stderr,
-                   "usage: gen_scale [--out=FILE] [--sizes=N,N,...]\n"
-                   "                 [--threads-list=N,N,...] [--lat=N]\n"
-                   "                 [--deterministic]\n");
-      return 1;
-    }
+    if (!Ok)
+      usageError(Arg, "gen_scale [--out=FILE] [--sizes=N,N,...]\n"
+                      "                 [--threads-list=N,N,...] [--lat=N]\n"
+                      "                 [--deterministic]");
   }
 
   banner(formatStr("Generated-program compile-time scaling (%zu sizes, "

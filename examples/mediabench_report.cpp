@@ -15,15 +15,27 @@
 #include "support/StrUtil.h"
 #include "workloads/Workloads.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 using namespace gdp;
 
 int main(int argc, char **argv) {
   std::vector<unsigned> Latencies;
-  for (int I = 1; I < argc; ++I)
-    Latencies.push_back(static_cast<unsigned>(std::atoi(argv[I])));
+  for (int I = 1; I < argc; ++I) {
+    const char *End = argv[I] + std::strlen(argv[I]);
+    unsigned Lat = 0;
+    auto [Ptr, Ec] = std::from_chars(argv[I], End, Lat);
+    if (Ec != std::errc() || Ptr != End || Lat == 0) {
+      std::fprintf(stderr,
+                   "error: latency '%s' is not a positive integer\n"
+                   "usage: mediabench_report [latency...]\n",
+                   argv[I]);
+      return 1;
+    }
+    Latencies.push_back(Lat);
+  }
   if (Latencies.empty())
     Latencies = {1, 5, 10};
 

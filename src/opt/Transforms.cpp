@@ -15,15 +15,19 @@ namespace {
 
 /// Evaluates a pure integer opcode over constant operands; nullopt when the
 /// opcode is not foldable or the evaluation would trap (division by zero /
-/// overflow). Mirrors the interpreter's semantics exactly.
+/// overflow). Mirrors the interpreter's semantics exactly: Add, Sub, Mul
+/// and Abs wrap.
 std::optional<int64_t> evalConst(Opcode Op, const std::vector<int64_t> &A) {
   switch (Op) {
   case Opcode::Add:
-    return A[0] + A[1];
+    return static_cast<int64_t>(static_cast<uint64_t>(A[0]) +
+                                static_cast<uint64_t>(A[1]));
   case Opcode::Sub:
-    return A[0] - A[1];
+    return static_cast<int64_t>(static_cast<uint64_t>(A[0]) -
+                                static_cast<uint64_t>(A[1]));
   case Opcode::Mul:
-    return A[0] * A[1];
+    return static_cast<int64_t>(static_cast<uint64_t>(A[0]) *
+                                static_cast<uint64_t>(A[1]));
   case Opcode::Div:
     if (A[1] == 0 || (A[0] == INT64_MIN && A[1] == -1))
       return std::nullopt;
@@ -62,7 +66,8 @@ std::optional<int64_t> evalConst(Opcode Op, const std::vector<int64_t> &A) {
   case Opcode::Max:
     return std::max(A[0], A[1]);
   case Opcode::Abs:
-    return A[0] < 0 ? -A[0] : A[0];
+    return A[0] < 0 ? static_cast<int64_t>(0 - static_cast<uint64_t>(A[0]))
+                    : A[0];
   case Opcode::Select:
     return A[0] != 0 ? A[1] : A[2];
   case Opcode::Mov:

@@ -139,14 +139,19 @@ InterpResult Interpreter::run(uint64_t MaxSteps) {
 
     bool Advance = true;
     switch (Op.getOpcode()) {
+    // Add, Sub, Mul and Abs wrap (two's complement): they compute through
+    // uint64_t, as signed overflow is undefined behaviour in C++.
     case Opcode::Add:
-      WrI(RdI(0) + RdI(1));
+      WrI(static_cast<int64_t>(static_cast<uint64_t>(RdI(0)) +
+                               static_cast<uint64_t>(RdI(1))));
       break;
     case Opcode::Sub:
-      WrI(RdI(0) - RdI(1));
+      WrI(static_cast<int64_t>(static_cast<uint64_t>(RdI(0)) -
+                               static_cast<uint64_t>(RdI(1))));
       break;
     case Opcode::Mul:
-      WrI(RdI(0) * RdI(1));
+      WrI(static_cast<int64_t>(static_cast<uint64_t>(RdI(0)) *
+                               static_cast<uint64_t>(RdI(1))));
       break;
     case Opcode::Div:
       if (RdI(1) == 0 || (RdI(0) == INT64_MIN && RdI(1) == -1)) {
@@ -207,7 +212,8 @@ InterpResult Interpreter::run(uint64_t MaxSteps) {
       WrI(std::max(RdI(0), RdI(1)));
       break;
     case Opcode::Abs:
-      WrI(RdI(0) < 0 ? -RdI(0) : RdI(0));
+      WrI(RdI(0) < 0 ? static_cast<int64_t>(0 - static_cast<uint64_t>(RdI(0)))
+                     : RdI(0));
       break;
     case Opcode::Select:
       Regs[Op.getDest()] = RdI(0) != 0 ? Regs[Op.getSrc(1)]

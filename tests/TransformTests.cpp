@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace gdp;
 
 TEST(FoldTest, FoldsConstantChain) {
@@ -88,6 +90,36 @@ TEST(FoldTest, FoldsSelectAndMov) {
                 .getOp(F->getEntryBlock().size() - 2)
                 .getOpcode(),
             Opcode::MovI);
+}
+
+TEST(FoldTest, WrapsLikeTheInterpreter) {
+  // Add, Sub, Mul and Abs wrap in two's complement. A folded overflow must
+  // equal what the interpreter computes on the unfolded program.
+  struct Case {
+    Opcode Op;
+    int64_t A, B;
+  };
+  for (const Case &C : {Case{Opcode::Add, INT64_MAX, 1},
+                        Case{Opcode::Mul, INT64_MIN, -1},
+                        Case{Opcode::Abs, INT64_MIN, 0}}) {
+    SCOPED_TRACE(opcodeName(C.Op));
+    Program P("t");
+    Function *F = P.makeFunction("main", 0);
+    IRBuilder B(F);
+    B.setInsertPoint(F->makeBlock("entry"));
+    int X = B.movi(C.A);
+    B.ret(C.Op == Opcode::Abs ? B.abs(X)
+                              : B.emitBinary(C.Op, X, B.movi(C.B)));
+    InterpResult Unfolded = Interpreter(P).run();
+    ASSERT_TRUE(Unfolded.Ok);
+    EXPECT_EQ(Unfolded.ReturnValue.I, INT64_MIN);
+
+    EXPECT_EQ(foldConstants(*F), 1u);
+    const BasicBlock &Entry = F->getEntryBlock();
+    const Operation &Folded = Entry.getOp(Entry.size() - 2);
+    ASSERT_EQ(Folded.getOpcode(), Opcode::MovI);
+    EXPECT_EQ(Folded.getImm(), INT64_MIN);
+  }
 }
 
 TEST(DCETest, RemovesUnusedPureOps) {
