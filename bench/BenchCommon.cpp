@@ -7,7 +7,6 @@
 #include "support/Json.h"
 #include "support/ThreadPool.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -143,8 +142,11 @@ void gdp::bench::initBench(int &argc, char **argv) {
     if (Arg.rfind("--json=", 0) == 0) {
       JsonPath = Arg.substr(7);
     } else if (Arg.rfind("--threads=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + 10);
-      setThreads(N > 0 ? static_cast<unsigned>(N) : 1);
+      unsigned N = 0;
+      if (!parsePositive(Arg.substr(10), N) || N > support::MaxThreads)
+        usageError(Arg, formatStr("--threads=N with N in [1, %u]",
+                                  support::MaxThreads));
+      setThreads(N);
     } else if (Arg == "--affinity") {
       AffinityValue = "1";
     } else if (Arg.rfind("--affinity=", 0) == 0) {
@@ -189,12 +191,6 @@ void gdp::bench::usageError(const std::string &Arg, const std::string &Usage) {
                Usage.c_str());
   JsonPath.clear(); // A rejected run leaves any existing --json file alone.
   std::exit(1);
-}
-
-bool gdp::bench::parsePositive(const std::string &Text, unsigned &Out) {
-  const char *End = Text.data() + Text.size();
-  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
-  return Ec == std::errc() && Ptr == End && Out > 0;
 }
 
 bool gdp::bench::affinity() { return support::threadAffinityEnabled(); }

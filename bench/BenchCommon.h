@@ -84,11 +84,6 @@ void expectNoArgs(int argc, char **argv);
 /// exits 1, as gdptool does for a bad flag. No --json file is written.
 [[noreturn]] void usageError(const std::string &Arg, const std::string &Usage);
 
-/// Parses \p Text as a positive decimal integer (a --lat=N value) into
-/// \p Out. False for anything else: empty, signed, trailing text, zero or
-/// out of range.
-bool parsePositive(const std::string &Text, unsigned &Out);
-
 /// True when --json=FILE was given to initBench().
 bool jsonEnabled();
 

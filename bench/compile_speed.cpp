@@ -32,7 +32,8 @@
 // every cell and byte-comparing the deterministic records across all
 // configurations (they must be identical; a mismatch exits 1). The
 // default mode's output and schema are untouched, so the CI bench_diff
-// gate on gdp-compile-speed-v1 keeps working unchanged.
+// gate on gdp-compile-speed-v1 keeps working unchanged. The matrix writes
+// no harness records, so --affinity with --json is a usage error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -290,6 +291,11 @@ int main(int argc, char **argv) {
       usageError(Arg, "compile_speed [--out=FILE] [--lat=N] [--affinity]");
   }
 
+  // The affinity matrix times through runMatrixRecords, which keeps no
+  // harness record: its --json file would hold none.
+  if (AffinityMode && jsonEnabled())
+    usageError("--json", "compile_speed [--out=FILE] [--lat=N] [--affinity] "
+                         "(--json only without --affinity)");
   if (AffinityMode)
     return runAffinityMatrix(OutPath, Latency);
 

@@ -51,6 +51,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   auto Start = std::chrono::steady_clock::now();
   PreparedProgram PP;
   PP.P = &P;
+  ExecTrace Trace; // Recorded under CaptureTrace; only its summary is kept.
   auto Done = [&] {
     PP.PrepareSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -89,10 +90,8 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   {
     telemetry::Span T("pipeline.prepare.profile");
     Interpreter Interp(P);
-    if (CaptureTrace) {
-      PP.Trace = std::make_shared<ExecTrace>();
-      Interp.setTrace(PP.Trace.get());
-    }
+    if (CaptureTrace)
+      Interp.setTrace(&Trace);
     InterpResult IR = Interp.run(MaxSteps);
     if (!IR.Ok) {
       PP.Error = "profiling run failed: " + IR.Error;
@@ -107,6 +106,11 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   {
     telemetry::Span T("pipeline.prepare.analyses");
     PP.Analyses = std::make_shared<const ProgramAnalyses>(P);
+  }
+  if (CaptureTrace) {
+    telemetry::Span T("pipeline.prepare.summary");
+    PP.Summary =
+        std::make_shared<const TraceSummary>(summarizeTrace(P, Trace));
   }
   PP.Ok = true;
   PP.Unlocked = std::make_shared<UnlockedRHOPTable>();
@@ -403,6 +407,16 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
   }
 
   MachineModel MM = machineFor(Opt);
+  if (MM.getMoveLatency() == 0 || MM.getMoveLatency() > MaxMoveLatency) {
+    R.Failed = true;
+    R.Diags.push_back(
+        support::errorDiag(support::StatusCode::InputError, "pipeline",
+                           formatStr("move latency must be between 1 and "
+                                     "%u cycles",
+                                     MaxMoveLatency))
+            .with("move_latency", static_cast<uint64_t>(MM.getMoveLatency())));
+    return R;
+  }
 
   // Degradation chain (docs/ROBUSTNESS.md): a strategy that cannot produce
   // a usable placement demotes along the paper's Table 1 quality ladder,

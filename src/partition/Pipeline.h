@@ -44,8 +44,8 @@
 
 namespace gdp {
 
-struct ExecTrace;
 class ProgramAnalyses;
+struct TraceSummary;
 class UnlockedRHOPTable;
 
 namespace telemetry {
@@ -74,11 +74,17 @@ bool parseStrategyName(const std::string &Name, StrategyKind &Out);
 /// the preferred memory reaches a certain threshold").
 constexpr double ProfileMaxBalanceTolerance = 0.125;
 
+/// The largest intercluster move latency an evaluation accepts, in
+/// cycles: 100× the paper's largest (10). runStrategy fails with an
+/// InputError for a machine whose move latency is 0 or above this, so no
+/// request can make the schedules' cycle tables grow without bound.
+constexpr unsigned MaxMoveLatency = 1000;
+
 /// Options controlling one pipeline evaluation.
 struct PipelineOptions {
   StrategyKind Strategy = StrategyKind::GDP;
   unsigned NumClusters = 2;
-  unsigned MoveLatency = 5; ///< Paper default (§4.1).
+  unsigned MoveLatency = 5; ///< Paper default (§4.1); 1..MaxMoveLatency.
   GDPOptions DataOpt;
   /// Optional fully custom machine (overrides NumClusters/MoveLatency).
   const MachineModel *Machine = nullptr;
@@ -100,12 +106,15 @@ struct PreparedProgram {
   /// Structured form of Error: verifier diagnostics verbatim, or one
   /// diagnostic for a points-to/profiling failure. Empty on success.
   std::vector<support::Diag> Diags;
-  /// Verify + points-to + profiling + analyses wall clock.
+  /// Verify + points-to + profiling + analyses (+ trace summary) wall
+  /// clock.
   double PrepareSeconds = 0;
-  /// Dynamic trace of the profiling run, present only when the program was
-  /// prepared with CaptureTrace (the cycle simulator's input). Shared so a
-  /// PreparedProgram stays cheap to copy.
-  std::shared_ptr<ExecTrace> Trace;
+  /// Summary of the profiling run's dynamic trace (profile/ExecTrace.h),
+  /// the cycle simulator's input: present only when the program was
+  /// prepared with CaptureTrace and preparation succeeded. The trace
+  /// itself is released once summarized. Shared so a PreparedProgram
+  /// stays cheap to copy.
+  std::shared_ptr<const TraceSummary> Summary;
   /// CFG, loops and region DFGs of every function (sched/BlockDFG.h), the
   /// input of RHOP, the scheduler and the simulator. Built once by
   /// prepareProgram on success and shared by every copy; null when
@@ -121,7 +130,8 @@ struct PreparedProgram {
 /// program to collect the profile, applies the profiled heap sizes, and
 /// builds the program's analyses (CFG, loops, region DFGs). With
 /// \p CaptureTrace the profiling run also records the dynamic
-/// block/access trace (profile/ExecTrace.h) for sim/Simulator.
+/// block/access trace (profile/ExecTrace.h), which is summarized for
+/// sim/Simulator under the `pipeline.prepare.summary` span.
 PreparedProgram prepareProgram(Program &P, uint64_t MaxSteps = 200000000ULL,
                                bool CaptureTrace = false);
 
@@ -160,8 +170,9 @@ struct PipelineResult {
 };
 
 /// Evaluates one strategy on a prepared program. Total: never throws or
-/// asserts on bad input — an unprepared program or an exhausted
-/// degradation chain comes back as a Failed result carrying diagnostics.
+/// asserts on bad input — an unprepared program, a move latency outside
+/// [1, MaxMoveLatency] or an exhausted degradation chain comes back as a
+/// Failed result carrying diagnostics.
 PipelineResult runStrategy(const PreparedProgram &PP,
                            const PipelineOptions &Opt);
 

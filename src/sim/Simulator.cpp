@@ -9,11 +9,9 @@
 #include "profile/ExecTrace.h"
 #include "sched/ListScheduler.h"
 #include "support/FaultInjector.h"
-#include "support/StrUtil.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace gdp;
 
@@ -40,41 +38,38 @@ public:
     return Issue;
   }
 
+  /// Frees every slot (cycle 0 of the next replayed execution).
+  void reset() { std::fill(SlotFree.begin(), SlotFree.end(), 0); }
+
 private:
   std::vector<uint64_t> SlotFree;
 };
 
 /// A memory operation of one block, as the replayer needs it.
 struct MemOpInfo {
-  unsigned OpId;
   unsigned IssueCycle; ///< Static issue cycle within the block.
   unsigned Cluster;    ///< Executing cluster (= home for locked ops).
   unsigned Latency;
   bool IsLoad;
 };
 
-/// Everything the replayer needs about one static block.
-struct BlockDesc {
-  const BlockSchedule *Sched = nullptr; ///< The evaluation's schedule.
-  int InnermostLoop = -1;
-  bool IsLoopHeader = false;
-  std::vector<MemOpInfo> MemOps; ///< In program order.
-  std::vector<uint32_t> OpsPerCluster;
-};
-
-struct FuncDesc {
-  std::vector<BlockDesc> Blocks;
-  /// Per loop: hoisted transfers charged on entry (summed over member
-  /// blocks whose innermost loop this is).
-  std::vector<unsigned> LoopHoisted;
-  /// Per loop: membership bitmap over blocks.
-  std::vector<std::vector<bool>> InLoop;
+/// What one execution of a block adds to the SimResult counters.
+struct ExecOutcome {
+  uint64_t Cycles = 0;
+  uint64_t BusTransfers = 0;
+  uint64_t HoistedTransfers = 0;
+  uint64_t LocalAccesses = 0;
+  uint64_t RemoteAccesses = 0;
+  uint64_t BusContentionStallCycles = 0;
+  uint64_t MoveLatencyStallCycles = 0;
+  uint64_t MemPortStallCycles = 0;
 };
 
 } // namespace
 
 SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
-                             const ExecTrace &Trace, const MachineModel &MM,
+                             const TraceSummary &Summary,
+                             const MachineModel &MM,
                              const ClusterAssignment &CA,
                              const ProgramSchedule &Schedule,
                              const DataPlacement &Placement) {
@@ -84,15 +79,26 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
   unsigned NumClusters = MM.getNumClusters();
   unsigned MoveLat = MM.getMoveLatency();
 
-  auto InputError = [&](std::string Why) {
-    R.Error = std::move(Why);
-    R.Diags.push_back(support::errorDiag(support::StatusCode::InputError,
-                                         "sim", R.Error));
-    return R;
+  const char *TraceMismatch = "trace does not match program (was the "
+                              "program prepared with trace capture?)";
+  auto InputError = [](std::string Why) {
+    SimResult Failed;
+    Failed.Error = std::move(Why);
+    Failed.Diags.push_back(support::errorDiag(
+        support::StatusCode::InputError, "sim", Failed.Error));
+    return Failed;
   };
-  if (Trace.AccessObj.size() != P.getNumFunctions())
-    return InputError("trace does not match program (was the program "
-                      "prepared with trace capture?)");
+  // Every reservation of a block is released by the block's end only when
+  // transfers and stores take at least a cycle (docs/SIMULATOR.md); the
+  // one-replay-per-variant rule below rests on that.
+  if (MoveLat == 0 || MM.getLatency(Opcode::Store) == 0)
+    return InputError("the simulator needs a move latency and a store "
+                      "latency of at least 1 cycle");
+  bool TraceOk = Summary.Blocks.size() == P.getNumFunctions();
+  for (unsigned F = 0; TraceOk && F != P.getNumFunctions(); ++F)
+    TraceOk = Summary.Blocks[F].size() == PA.function(F).numBlocks();
+  if (!TraceOk)
+    return InputError(TraceMismatch);
   bool ShapeOk = Schedule.Blocks.size() == P.getNumFunctions();
   for (unsigned F = 0; ShapeOk && F != P.getNumFunctions(); ++F) {
     const FunctionAnalyses &FA = PA.function(F);
@@ -111,174 +117,158 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
     R.Diags.push_back(support::injectedFaultDiag("sim.bus"));
     return R;
   }
+  if (!Summary.Error.empty())
+    return InputError(Summary.Error);
 
-  // --- Static precomputation: one descriptor per scheduled block.
-  std::vector<FuncDesc> Funcs(P.getNumFunctions());
-  for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
-    const FunctionAnalyses &FA = PA.function(F);
-    const LoopInfo &LI = FA.loops();
-    unsigned NumBlocks = FA.numBlocks();
-    FuncDesc &FD = Funcs[F];
-    FD.Blocks.resize(NumBlocks);
-    FD.LoopHoisted.assign(LI.getNumLoops(), 0);
-    FD.InLoop.resize(LI.getNumLoops());
-    for (unsigned L = 0; L != LI.getNumLoops(); ++L) {
-      FD.InLoop[L].assign(NumBlocks, false);
-      for (int B : LI.getLoop(L).Blocks)
-        FD.InLoop[L][static_cast<unsigned>(B)] = true;
-    }
-    for (unsigned B = 0; B != NumBlocks; ++B) {
-      const BlockDFG &DFG = FA.dfg(B);
-      const BlockSchedule &BS = Schedule.Blocks[F][B];
-      BlockDesc &BD = FD.Blocks[B];
-      BD.Sched = &BS;
-      BD.InnermostLoop = LI.innermostLoopOf(B);
-      BD.IsLoopHeader =
-          BD.InnermostLoop >= 0 &&
-          LI.getLoop(static_cast<unsigned>(BD.InnermostLoop)).Header ==
-              static_cast<int>(B);
-      if (BD.InnermostLoop >= 0)
-        FD.LoopHoisted[static_cast<unsigned>(BD.InnermostLoop)] +=
-            BS.HoistedMoves;
-      BD.OpsPerCluster.assign(NumClusters, 0);
-      for (unsigned Local = 0; Local != DFG.size(); ++Local) {
-        const Operation &Op = DFG.getOp(Local);
-        unsigned OpId = static_cast<unsigned>(Op.getId());
-        unsigned Cluster = static_cast<unsigned>(CA.get(F, OpId));
-        ++BD.OpsPerCluster[Cluster];
-        if (!Op.isMemoryAccess())
-          continue;
-        MemOpInfo MO;
-        MO.OpId = OpId;
-        MO.IssueCycle = BS.IssueCycle[Local];
-        MO.Cluster = Cluster;
-        MO.Latency = MM.getLatency(Op.getOpcode());
-        MO.IsLoad = Op.getOpcode() == Opcode::Load;
-        BD.MemOps.push_back(MO);
-      }
-    }
-  }
-
-  // --- Dynamic replay.
   SlotQueue Bus(MM.getMoveBandwidth());
   std::vector<SlotQueue> Ports;
   Ports.reserve(NumClusters);
   for (unsigned C = 0; C != NumClusters; ++C)
     Ports.emplace_back(MM.getFUCount(C, FUKind::Memory));
-
-  // Cursor into each operation's access stream (k-th block execution
-  // consumes the k-th recorded object id of each of its memory ops).
-  std::vector<std::vector<uint32_t>> NextAccess(P.getNumFunctions());
-  for (unsigned F = 0; F != P.getNumFunctions(); ++F)
-    NextAccess[F].assign(Trace.AccessObj[F].size(), 0);
-
-  // Last executed block per function, for dynamic loop-entry detection.
-  std::vector<int> LastBlock(P.getNumFunctions(), -1);
   std::vector<uint64_t> OpsIssued(NumClusters, 0);
+  std::vector<uint32_t> OpsPerCluster(NumClusters);
+  std::vector<MemOpInfo> MemOps;
+  uint64_t Variants = 0;
 
-  uint64_t T = 0; // Start cycle of the current block.
-  for (const ExecTrace::BlockEvent &Ev : Trace.Blocks) {
-    if (Ev.Func >= Funcs.size() ||
-        Ev.Block >= Funcs[Ev.Func].Blocks.size()) {
-      return InputError(formatStr("trace event (%u, %u) out of range",
-                                  Ev.Func, Ev.Block));
-    }
-    FuncDesc &FD = Funcs[Ev.Func];
-    BlockDesc &BD = FD.Blocks[Ev.Block];
-    ++R.BlockExecs;
-    for (unsigned C = 0; C != NumClusters; ++C)
-      OpsIssued[C] += BD.OpsPerCluster[C];
-
-    uint64_t End = T + BD.Sched->Length;
-
-    // Block 0 is a fresh invocation: the previous block of this function
-    // id (possibly another frame's) is not this execution's predecessor.
-    if (Ev.Block == 0)
-      LastBlock[Ev.Func] = -1;
-
-    // Loop entry: the header executes with the function's previous block
-    // outside the loop. Hoisted (preheader) transfers go out now.
-    unsigned HoistedNow = 0;
-    if (BD.IsLoopHeader) {
-      unsigned L = static_cast<unsigned>(BD.InnermostLoop);
-      bool Entry = LastBlock[Ev.Func] < 0 ||
-                   !FD.InLoop[L][static_cast<unsigned>(LastBlock[Ev.Func])];
-      if (Entry)
-        HoistedNow = FD.LoopHoisted[L];
-    } else if (BD.InnermostLoop < 0) {
-      // Hoistable live-ins of a block outside any loop degenerate to a
-      // per-execution transfer (mirrors LoopInfo::entryCountOf).
-      HoistedNow = BD.Sched->HoistedMoves;
-    }
+  // Replays one execution of a block from an idle bus and idle ports,
+  // starting at cycle 0, with HoistedNow loop-entry transfers and the
+  // objects Objs its memory operations touched.
+  auto Replay = [&](const BlockSchedule &BS, unsigned HoistedNow,
+                    const int32_t *Objs) {
+    ExecOutcome O;
+    Bus.reset();
+    for (SlotQueue &Port : Ports)
+      Port.reset();
+    uint64_t End = BS.Length;
     for (unsigned K = 0; K != HoistedNow; ++K) {
-      uint64_t Issue = Bus.reserve(T);
-      ++R.BusTransfers;
-      ++R.HoistedTransfers;
-      R.BusContentionStallCycles += Issue - T;
+      uint64_t Issue = Bus.reserve(0);
+      ++O.BusTransfers;
+      ++O.HoistedTransfers;
+      O.BusContentionStallCycles += Issue;
       uint64_t Arrive = Issue + MoveLat;
       if (Arrive > End) {
-        R.MoveLatencyStallCycles += Arrive - End;
+        O.MoveLatencyStallCycles += Arrive - End;
         End = Arrive;
       }
     }
 
-    // Replay the block's scheduled intercluster moves against the live bus.
-    for (unsigned S : BD.Sched->MoveIssue) {
-      uint64_t Want = T + S;
-      uint64_t Issue = Bus.reserve(Want);
-      ++R.BusTransfers;
-      R.BusContentionStallCycles += Issue - Want;
+    // The block's scheduled intercluster moves, against the bus.
+    for (unsigned S : BS.MoveIssue) {
+      uint64_t Issue = Bus.reserve(S);
+      ++O.BusTransfers;
+      O.BusContentionStallCycles += Issue - S;
       End = std::max(End, Issue + MoveLat);
     }
 
-    // Memory accesses: consume this execution's object ids and pay the
-    // remote-access protocol for objects homed on another cluster.
-    for (const MemOpInfo &MO : BD.MemOps) {
-      const auto &Stream = Trace.AccessObj[Ev.Func][MO.OpId];
-      uint32_t &Cursor = NextAccess[Ev.Func][MO.OpId];
-      if (Cursor >= Stream.size())
-        return InputError(formatStr(
-            "access stream of operation (%u, %u) exhausted after %u events "
-            "(trace/profile mismatch)",
-            Ev.Func, MO.OpId, Cursor));
-      int32_t Obj = Stream[Cursor++];
+    // Memory accesses: objects homed on another cluster pay the
+    // remote-access protocol.
+    for (size_t M = 0; M != MemOps.size(); ++M) {
+      const MemOpInfo &MO = MemOps[M];
+      int32_t Obj = Objs[M];
       int Home = Obj >= 0 && static_cast<unsigned>(Obj) <
                                  Placement.getNumObjects()
                      ? Placement.getHome(static_cast<unsigned>(Obj))
                      : -1;
       if (Home < 0 || static_cast<unsigned>(Home) == MO.Cluster) {
-        ++R.LocalAccesses; // Unified memory or home-cluster access: the
+        ++O.LocalAccesses; // Unified memory or home-cluster access: the
                            // static schedule already paid for it.
         continue;
       }
-      ++R.RemoteAccesses;
+      ++O.RemoteAccesses;
       // Request transfer to the home cluster...
-      uint64_t Want = T + MO.IssueCycle;
+      uint64_t Want = MO.IssueCycle;
       uint64_t ReqIssue = Bus.reserve(Want);
-      ++R.BusTransfers;
-      R.BusContentionStallCycles += ReqIssue - Want;
+      ++O.BusTransfers;
+      O.BusContentionStallCycles += ReqIssue - Want;
       uint64_t ReqArrive = ReqIssue + MoveLat;
       // ...service at a home memory port...
       uint64_t Port = Ports[static_cast<unsigned>(Home)].reserve(ReqArrive);
-      R.MemPortStallCycles += Port - ReqArrive;
+      O.MemPortStallCycles += Port - ReqArrive;
       uint64_t Done = Port + MO.Latency;
       // ...and for loads, the reply transfer back.
       if (MO.IsLoad) {
         uint64_t RepIssue = Bus.reserve(Done);
-        ++R.BusTransfers;
-        R.BusContentionStallCycles += RepIssue - Done;
+        ++O.BusTransfers;
+        O.BusContentionStallCycles += RepIssue - Done;
         Done = RepIssue + MoveLat;
-        R.MoveLatencyStallCycles += 2ull * MoveLat;
+        O.MoveLatencyStallCycles += 2ull * MoveLat;
       } else {
-        R.MoveLatencyStallCycles += MoveLat;
+        O.MoveLatencyStallCycles += MoveLat;
       }
       End = std::max(End, Done);
     }
+    O.Cycles = End;
+    return O;
+  };
 
-    LastBlock[Ev.Func] = static_cast<int>(Ev.Block);
-    T = End;
+  for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
+    const FunctionAnalyses &FA = PA.function(F);
+    const LoopInfo &LI = FA.loops();
+    // Per loop: hoisted transfers charged on entry (summed over member
+    // blocks whose innermost loop this is).
+    std::vector<unsigned> LoopHoisted(LI.getNumLoops(), 0);
+    for (unsigned B = 0; B != FA.numBlocks(); ++B)
+      if (LI.innermostLoopOf(B) >= 0)
+        LoopHoisted[static_cast<unsigned>(LI.innermostLoopOf(B))] +=
+            Schedule.Blocks[F][B].HoistedMoves;
+
+    for (unsigned B = 0; B != FA.numBlocks(); ++B) {
+      const TraceSummary::Block &SB = Summary.Blocks[F][B];
+      if (SB.Variants.empty())
+        continue;
+      const BlockDFG &DFG = FA.dfg(B);
+      const BlockSchedule &BS = Schedule.Blocks[F][B];
+      std::fill(OpsPerCluster.begin(), OpsPerCluster.end(), 0);
+      MemOps.clear();
+      for (unsigned Local = 0; Local != DFG.size(); ++Local) {
+        const Operation &Op = DFG.getOp(Local);
+        unsigned OpId = static_cast<unsigned>(Op.getId());
+        unsigned Cluster = static_cast<unsigned>(CA.get(F, OpId));
+        ++OpsPerCluster[Cluster];
+        if (Op.isMemoryAccess())
+          MemOps.push_back({BS.IssueCycle[Local], Cluster,
+                            MM.getLatency(Op.getOpcode()),
+                            Op.getOpcode() == Opcode::Load});
+      }
+      if (MemOps.size() != SB.NumMemOps)
+        return InputError(TraceMismatch);
+      int Loop = LI.innermostLoopOf(B);
+      bool IsLoopHeader = Loop >= 0 &&
+                          LI.getLoop(static_cast<unsigned>(Loop)).Header ==
+                              static_cast<int>(B);
+
+      for (size_t V = 0; V != SB.Variants.size(); ++V) {
+        const TraceSummary::Variant &Var = SB.Variants[V];
+        // Loop entry: the header executes with the function's previous
+        // block outside the loop. Hoisted (preheader) transfers go out
+        // then. Hoistable live-ins of a block outside any loop degenerate
+        // to a per-execution transfer (mirrors LoopInfo::entryCountOf).
+        unsigned HoistedNow = 0;
+        if (IsLoopHeader) {
+          unsigned L = static_cast<unsigned>(Loop);
+          if (Var.Pred < 0 ||
+              !LI.contains(L, static_cast<unsigned>(Var.Pred)))
+            HoistedNow = LoopHoisted[L];
+        } else if (Loop < 0) {
+          HoistedNow = BS.HoistedMoves;
+        }
+        ExecOutcome O = Replay(BS, HoistedNow, SB.objectsOf(V));
+        uint64_t N = Var.Count;
+        ++Variants;
+        R.Cycles += O.Cycles * N;
+        R.BlockExecs += N;
+        R.BusTransfers += O.BusTransfers * N;
+        R.HoistedTransfers += O.HoistedTransfers * N;
+        R.LocalAccesses += O.LocalAccesses * N;
+        R.RemoteAccesses += O.RemoteAccesses * N;
+        R.BusContentionStallCycles += O.BusContentionStallCycles * N;
+        R.MoveLatencyStallCycles += O.MoveLatencyStallCycles * N;
+        R.MemPortStallCycles += O.MemPortStallCycles * N;
+        for (unsigned C = 0; C != NumClusters; ++C)
+          OpsIssued[C] += uint64_t{OpsPerCluster[C]} * N;
+      }
+    }
   }
-  R.Cycles = T;
 
   R.ClusterUtilization.assign(NumClusters, 0.0);
   for (unsigned C = 0; C != NumClusters; ++C) {
@@ -294,6 +284,7 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
   R.Ok = true;
   if (telemetry::enabled()) {
     telemetry::counter("sim.runs");
+    telemetry::counter("sim.variants", Variants);
     telemetry::counter("sim.cycles", R.Cycles);
     telemetry::counter("sim.block_execs", R.BlockExecs);
     telemetry::counter("sim.bus_transfers", R.BusTransfers);
@@ -323,13 +314,13 @@ SimResult gdp::simulateStrategy(const PreparedProgram &PP,
   if (!PP.Analyses)
     return Usage("prepared program carries no analyses; simulate only a "
                  "successful prepareProgram");
-  if (!PP.Trace)
+  if (!PP.Summary)
     return Usage("prepared program carries no execution trace; call "
                  "prepareProgram(P, MaxSteps, /*CaptureTrace=*/true)");
   if (R.Schedule.Blocks.empty())
     return Usage("result carries no schedule; simulate only a successful "
                  "runStrategy result");
   MachineModel MM = machineFor(Opt);
-  return simulateTrace(*PP.Analyses, *PP.Trace, MM, R.Assignment,
+  return simulateTrace(*PP.Analyses, *PP.Summary, MM, R.Assignment,
                        R.Schedule, R.Placement);
 }

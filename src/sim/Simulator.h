@@ -7,15 +7,15 @@
 /// \file
 /// A deterministic trace-driven cycle simulator for the clustered VLIW —
 /// the dynamic counterpart of the static accounting in
-/// sched/ListScheduler. It replays an interpreter run's block trace
-/// (profile/ExecTrace) through the evaluation's own per-region schedules
-/// (PipelineResult::Schedule; it never schedules), carrying machine state
-/// *across* block boundaries that the static model resets per block:
+/// sched/ListScheduler. It replays an interpreter run's block executions
+/// (profile/ExecTrace, summarized as a TraceSummary) through the
+/// evaluation's own per-region schedules (PipelineResult::Schedule; it
+/// never schedules), modelling machine state the static model leaves out:
 ///
 ///  * the intercluster bus as a bandwidth-limited queue (getMoveBandwidth()
 ///    issue slots per cycle at getMoveLatency() transit) — in-block moves
-///    replay at their statically scheduled slots against the live queue,
-///    and queuing delay is a **bus-contention stall**;
+///    replay at their statically scheduled slots against the queue, and
+///    queuing delay is a **bus-contention stall**;
 ///  * loop-invariant (hoisted) transfers injected at each dynamic loop
 ///    entry — the static model assumes they are free bus traffic in the
 ///    preheader; here they occupy real slots and any arrival past the
@@ -29,8 +29,12 @@
 ///
 /// Blocks execute back to back, each spanning at least its static schedule
 /// length, so simulated cycles are ≥ the profile-weighted static estimate
-/// by construction. The simulation is sequential and pure (no global
-/// state); callers parallelize across workloads/strategies and get
+/// by construction. With a move latency and a store latency of at least
+/// one cycle, every bus and port reservation of a block is released by the
+/// block's end, so the next block always starts on an idle machine: the
+/// simulator replays each distinct block execution once and multiplies
+/// its outcome by its count. The simulation is sequential and pure (no
+/// global state); callers parallelize across workloads/strategies and get
 /// bit-identical results at any thread count. See docs/SIMULATOR.md.
 ///
 //===----------------------------------------------------------------------===//
@@ -49,12 +53,12 @@ namespace gdp {
 
 class ClusterAssignment;
 class DataPlacement;
-struct ExecTrace;
 class MachineModel;
 struct PipelineOptions;
 struct PipelineResult;
 struct PreparedProgram;
 struct ProgramSchedule;
+struct TraceSummary;
 
 /// Outcome of one trace simulation.
 struct SimResult {
@@ -65,7 +69,7 @@ struct SimResult {
   std::vector<support::Diag> Diags;
 
   uint64_t Cycles = 0;     ///< Total dynamic cycles.
-  uint64_t BlockExecs = 0; ///< Trace events replayed.
+  uint64_t BlockExecs = 0; ///< Block executions of the trace.
 
   // Dynamic event counts.
   uint64_t BusTransfers = 0;     ///< All bus slot reservations.
@@ -87,16 +91,20 @@ struct SimResult {
   std::vector<double> ClusterUtilization;
 };
 
-/// Replays \p Trace (recorded by Interpreter::setTrace during profiling of
-/// \p PA's program) against \p Schedule, the scheduleProgram result for
-/// \p CA on \p MM over \p PA's region DFGs, with data homes from
-/// \p Placement. Schedules nothing itself. Fails with an InputError when
-/// the trace does not match the program, or the schedule does not match
-/// its function, block or operation counts. Emits sim.* telemetry when a
-/// session is installed. Deterministic: equal inputs give bit-identical
-/// results.
-SimResult simulateTrace(const ProgramAnalyses &PA, const ExecTrace &Trace,
-                        const MachineModel &MM, const ClusterAssignment &CA,
+/// Replays \p Summary (summarizeTrace of the trace recorded by
+/// Interpreter::setTrace while profiling \p PA's program) against
+/// \p Schedule, the scheduleProgram result for \p CA on \p MM over \p PA's
+/// region DFGs, with data homes from \p Placement. Schedules nothing
+/// itself. Fails with an InputError when \p MM's move latency or store
+/// latency is 0 (the one-replay-per-variant rule needs both to be at
+/// least one cycle), when the summary does not match the program or
+/// carries a trace inconsistency, or when the schedule does not match its
+/// function, block or operation counts. Emits sim.* telemetry when a
+/// session is installed, including the work counter sim.variants.
+/// Deterministic: equal inputs give bit-identical results.
+SimResult simulateTrace(const ProgramAnalyses &PA,
+                        const TraceSummary &Summary, const MachineModel &MM,
+                        const ClusterAssignment &CA,
                         const ProgramSchedule &Schedule,
                         const DataPlacement &Placement);
 
@@ -104,8 +112,8 @@ SimResult simulateTrace(const ProgramAnalyses &PA, const ExecTrace &Trace,
 /// (PipelineResult::Schedule) on a program prepared with trace capture
 /// (prepareProgram(..., /*CaptureTrace=*/true)). \p Opt must be the
 /// options \p R was evaluated with. Fails with a UsageError if \p PP holds
-/// no analyses (its preparation failed) or no trace, or if \p R carries no
-/// schedule (a failed or default-constructed result).
+/// no analyses (its preparation failed) or no trace summary, or if \p R
+/// carries no schedule (a failed or default-constructed result).
 SimResult simulateStrategy(const PreparedProgram &PP,
                            const PipelineResult &R,
                            const PipelineOptions &Opt);

@@ -3,6 +3,7 @@
 #include "support/StrUtil.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -43,6 +44,12 @@ std::string gdp::formatDouble(double Value, unsigned Decimals) {
 
 std::string gdp::formatPercent(double Fraction, unsigned Decimals) {
   return formatStr("%.*f%%", static_cast<int>(Decimals), Fraction * 100.0);
+}
+
+bool gdp::parsePositive(const std::string &Text, unsigned &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End && Out > 0;
 }
 
 std::string gdp::join(const std::vector<std::string> &Parts,

@@ -34,6 +34,11 @@ std::string formatDouble(double Value, unsigned Decimals = 2);
 /// Formats \p Fraction (e.g. 0.956) as a percentage string "95.6%".
 std::string formatPercent(double Fraction, unsigned Decimals = 1);
 
+/// Parses \p Text as a positive decimal integer (a --lat=N or --threads=N
+/// value) into \p Out. False for anything else: empty, signed, trailing
+/// text, zero or out of range.
+bool parsePositive(const std::string &Text, unsigned &Out);
+
 /// Joins \p Parts with \p Sep.
 std::string join(const std::vector<std::string> &Parts,
                  const std::string &Sep);

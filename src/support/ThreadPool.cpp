@@ -24,7 +24,7 @@ unsigned gdp::support::threadCountFromEnv() {
   long N = std::strtol(Env, &End, 10);
   if (End == Env || *End != '\0' || N < 1)
     return 1;
-  return N > 256 ? 256u : static_cast<unsigned>(N);
+  return N > MaxThreads ? MaxThreads : static_cast<unsigned>(N);
 }
 
 namespace {

@@ -60,8 +60,12 @@
 namespace gdp {
 namespace support {
 
+/// The largest thread count the environment or a --threads flag may ask
+/// for.
+constexpr unsigned MaxThreads = 256;
+
 /// Total thread count requested through the environment: `GDP_THREADS`,
-/// clamped to [1, 256]; 1 (fully serial) when unset or unparsable.
+/// clamped to [1, MaxThreads]; 1 (fully serial) when unset or unparsable.
 unsigned threadCountFromEnv();
 
 /// Parses one affinity setting: "1"/"on"/"true"/"yes" enable,

@@ -369,6 +369,35 @@ TEST(PipelineTest, StrategiesProduceCompleteResults) {
   }
 }
 
+TEST(PipelineTest, MoveLatencyOutsideItsRangeIsAnInputError) {
+  // One range for every entry point: 0 and anything above MaxMoveLatency
+  // fail before any partitioning work, on the options and on a custom
+  // machine alike.
+  auto P = makeTwoChains();
+  PreparedProgram PP = prepareProgram(*P);
+  ASSERT_TRUE(PP.Ok);
+  ASSERT_EQ(MaxMoveLatency, 1000u);
+  for (unsigned Lat : {0u, 1u, 1000u, 1001u}) {
+    PipelineOptions Opt;
+    Opt.MoveLatency = Lat;
+    PipelineResult R = runStrategy(PP, Opt);
+    MachineModel MM = MachineModel::makeDefault(2, Lat);
+    PipelineOptions OnMachine;
+    OnMachine.Machine = &MM;
+    PipelineResult RM = runStrategy(PP, OnMachine);
+    bool InRange = Lat >= 1 && Lat <= MaxMoveLatency;
+    for (const PipelineResult *Res : {&R, &RM}) {
+      EXPECT_EQ(Res->ok(), InRange) << "latency " << Lat;
+      if (InRange)
+        continue;
+      const support::Diag *D = support::firstError(Res->Diags);
+      ASSERT_NE(D, nullptr) << "latency " << Lat;
+      EXPECT_EQ(D->Code, support::StatusCode::InputError);
+      EXPECT_EQ(Res->RHOPRuns, 0u);
+    }
+  }
+}
+
 TEST(PipelineTest, NaivePlacementIsAccessMajority) {
   auto P = makeTwoChains();
   PreparedProgram PP = prepareProgram(*P);

@@ -259,8 +259,9 @@ TEST(PreparedCacheTest, DistinctOptionsAreDistinctEntries) {
 
   EXPECT_EQ(Builds, 2) << "a trace-capturing preparation is its own entry";
   EXPECT_NE(Plain.get(), Traced.get());
-  EXPECT_FALSE(Plain->PP.Trace);
-  EXPECT_TRUE(Traced->PP.Trace) << "the traced entry must hold its trace";
+  EXPECT_FALSE(Plain->PP.Summary);
+  EXPECT_TRUE(Traced->PP.Summary)
+      << "the traced entry must hold its trace summary";
   EXPECT_EQ(S.stats().getCounter("prepared_cache.misses"), 2u);
   EXPECT_EQ(S.stats().getCounter("prepared_cache.hits"), 0u);
 }

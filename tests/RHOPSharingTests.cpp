@@ -366,10 +366,11 @@ TEST(RHOPSharing, SharedAnalysesEqualPerCallAnalyses) {
         ProgramSchedule PerCall = scheduleProgram(P, PP.Prof, MM, Locked);
         EXPECT_EQ(scheduleText(Sched), scheduleText(PerCall));
         SimResult Sim =
-            simulateTrace(Shared, *PP.Trace, MM, Locked, Sched, G.Placement);
+            simulateTrace(Shared, *PP.Summary, MM, Locked, Sched,
+                          G.Placement);
         EXPECT_TRUE(Sim.Ok) << Sim.Error;
         EXPECT_EQ(simText(Sim),
-                  simText(simulateTrace(P, *PP.Trace, MM, Locked, PerCall,
+                  simText(simulateTrace(P, *PP.Summary, MM, Locked, PerCall,
                                         G.Placement)));
       }
     }
@@ -398,12 +399,13 @@ TEST(RHOPSharing, CopiesAndCacheEntriesShareOneAnalysesBundle) {
 }
 
 TEST(RHOPSharing, FailedPreparationHasNoAnalysesAndCannotBeSimulated) {
-  // A step limit fails the profiling run after the trace was attached.
+  // A step limit fails the profiling run after the trace was attached;
+  // a failed preparation keeps no trace summary.
   std::unique_ptr<Program> P = buildWorkload("fir");
   PreparedProgram PP = prepareProgram(*P, /*MaxSteps=*/10,
                                       /*CaptureTrace=*/true);
   ASSERT_FALSE(PP.Ok);
-  ASSERT_NE(PP.Trace, nullptr);
+  EXPECT_EQ(PP.Summary, nullptr);
   EXPECT_EQ(PP.Analyses, nullptr);
 
   PipelineOptions Opt;

@@ -413,6 +413,22 @@ TEST(ServeService, ControlCharactersInSpecsGiveValidJsonBodies) {
   }
 }
 
+TEST(ServeService, MoveLatencyOutOfRangeIsAnInputError) {
+  // A request's move latency reaches the schedules' cycle tables: one far
+  // past MaxMoveLatency is refused before any work, and the service goes
+  // on serving.
+  Service Svc(ServiceOptions{});
+  PartitionRequest Req;
+  Req.Spec = "fir";
+  Req.MoveLatency = 2147483647u;
+  PartitionOutcome Out = Svc.partition(Req);
+  EXPECT_EQ(Out.S, Status::InputError) << Out.Body;
+  EXPECT_NE(Out.Body.find("move latency"), std::string::npos) << Out.Body;
+  Req.MoveLatency = 5;
+  PartitionOutcome Next = Svc.partition(Req);
+  EXPECT_EQ(Next.S, Status::Ok) << Next.Body;
+}
+
 TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
   // gdpd serves any move latency for a cached program, so one client can
   // ask for one program on endless machines. The program's unlocked-RHOP

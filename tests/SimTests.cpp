@@ -306,7 +306,8 @@ TEST(SimTest, RemoteAccessPaysTransferAndStalls) {
   DataPlacement Local(P->getNumObjects());
   Local.setHome(static_cast<unsigned>(A), 0);
   Local.setHome(static_cast<unsigned>(Out), 0);
-  SimResult SLocal = simulateTrace(*P, Trace, MM, CA, Static, Local);
+  SimResult SLocal = simulateTrace(*P, summarizeTrace(*P, Trace), MM, CA,
+                                   Static, Local);
   ASSERT_TRUE(SLocal.Ok) << SLocal.Error;
   EXPECT_EQ(SLocal.RemoteAccesses, 0u);
   EXPECT_EQ(SLocal.LocalAccesses, 32u); // 16 loads + 16 stores.
@@ -318,7 +319,8 @@ TEST(SimTest, RemoteAccessPaysTransferAndStalls) {
   DataPlacement Split(P->getNumObjects());
   Split.setHome(static_cast<unsigned>(A), 1);
   Split.setHome(static_cast<unsigned>(Out), 0);
-  SimResult SSplit = simulateTrace(*P, Trace, MM, CA, Static, Split);
+  SimResult SSplit = simulateTrace(*P, summarizeTrace(*P, Trace), MM, CA,
+                                   Static, Split);
   ASSERT_TRUE(SSplit.Ok) << SSplit.Error;
   EXPECT_EQ(SSplit.RemoteAccesses, 16u);
   EXPECT_EQ(SSplit.LocalAccesses, 16u);
@@ -386,8 +388,9 @@ TEST(SimTest, RemoteRequestsQueueAtTheHomePort) {
   DataPlacement PL(P->getNumObjects());
   PL.setHome(static_cast<unsigned>(A), 2);
   PL.setHome(static_cast<unsigned>(Out), 1);
-  SimResult S = simulateTrace(
-      *P, Trace, MM, CA, scheduleProgram(*P, I.getProfile(), MM, CA), PL);
+  SimResult S =
+      simulateTrace(*P, summarizeTrace(*P, Trace), MM, CA,
+                    scheduleProgram(*P, I.getProfile(), MM, CA), PL);
   ASSERT_TRUE(S.Ok) << S.Error;
   EXPECT_EQ(S.RemoteAccesses, 2u); // The loads; the store is home-local.
   EXPECT_EQ(S.LocalAccesses, 1u);
@@ -405,7 +408,7 @@ TEST(SimTest, MismatchedTraceIsRejected) {
   ClusterAssignment CA(*P);
   DataPlacement PL(P->getNumObjects());
   ExecTrace Empty; // Never recorded against P.
-  SimResult S = simulateTrace(*P, Empty, MM, CA,
+  SimResult S = simulateTrace(*P, summarizeTrace(*P, Empty), MM, CA,
                               scheduleProgram(*P, I.getProfile(), MM, CA), PL);
   EXPECT_FALSE(S.Ok);
   EXPECT_FALSE(S.Error.empty());
@@ -425,20 +428,21 @@ TEST(SimTest, MismatchedScheduleIsRejected) {
   ClusterAssignment CA(*P);
   DataPlacement PL(P->getNumObjects());
   ProgramSchedule Good = scheduleProgram(*P, I.getProfile(), MM, CA);
-  ASSERT_TRUE(simulateTrace(*P, Trace, MM, CA, Good, PL).Ok);
+  TraceSummary Summary = summarizeTrace(*P, Trace);
+  ASSERT_TRUE(simulateTrace(*P, Summary, MM, CA, Good, PL).Ok);
 
   ProgramSchedule NoBlock = Good;
   NoBlock.Blocks[0].pop_back();
   ProgramSchedule NoOp = Good;
   NoOp.Blocks[0][0].IssueCycle.push_back(0);
   for (const ProgramSchedule *Bad : {&NoBlock, &NoOp}) {
-    SimResult S = simulateTrace(*P, Trace, MM, CA, *Bad, PL);
+    SimResult S = simulateTrace(*P, Summary, MM, CA, *Bad, PL);
     EXPECT_FALSE(S.Ok);
     ASSERT_NE(support::firstError(S.Diags), nullptr);
     EXPECT_EQ(support::firstError(S.Diags)->Code,
               support::StatusCode::InputError);
   }
-  SimResult S = simulateTrace(*P, Trace, MM, CA, ProgramSchedule(), PL);
+  SimResult S = simulateTrace(*P, Summary, MM, CA, ProgramSchedule(), PL);
   EXPECT_FALSE(S.Ok);
   EXPECT_NE(S.Error.find("schedule does not match"), std::string::npos);
 }

@@ -43,6 +43,7 @@
 #include "workloads/Workloads.h"
 
 #include <cassert>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,13 +94,15 @@ void usage(std::FILE *Out = stderr) {
       "      --out=FILE               write the report to FILE (default\n"
       "                               stdout)\n"
       "      --strategy=gdp|profilemax|naive|unified|all   (default: all)\n"
-      "      --latency=N (or --lat=N) intercluster move latency (default 5)\n"
+      "      --latency=N (or --lat=N) intercluster move latency, 1..%u\n"
+      "                               (default 5)\n"
       "      --clusters=N             cluster count (default 2)\n"
       "      --placement              also print the object placement\n"
       "      --optimize               run fold/copy-prop/DCE first\n"
-      "      --threads=N              evaluate strategies on N threads\n"
-      "                               (default: $GDP_THREADS, else 1; the\n"
-      "                               report is identical at any value)\n"
+      "      --threads=N              evaluate strategies on N threads,\n"
+      "                               1..%u (default: $GDP_THREADS, else\n"
+      "                               1; the report is identical at any\n"
+      "                               value)\n"
       "      --affinity[=V]           pin pool workers to cores (default:\n"
       "                               $GDP_AFFINITY, else off). V is\n"
       "                               1/on/true or 0/off/false; anything\n"
@@ -124,7 +127,8 @@ void usage(std::FILE *Out = stderr) {
       "            3 infeasible or failed evaluation,\n"
       "            4 (request) server unreachable or no replica available\n"
       "              (transport-level Unavailable; diag site\n"
-      "              serve.unavailable — docs/SERVING.md)\n");
+      "              serve.unavailable — docs/SERVING.md)\n",
+      MaxMoveLatency, support::MaxThreads);
 }
 
 bool OptimizeFlag = false;
@@ -179,6 +183,21 @@ int reportEvaluation(StrategyKind Requested, const PipelineResult &R) {
 
 unsigned toolThreads() {
   return ThreadsFlag ? ThreadsFlag : support::threadCountFromEnv();
+}
+
+/// Parses the value of the numeric flag \p Arg ("--name=N") into \p Out:
+/// an integer in [1, \p Max]. Prints why not and returns false otherwise.
+bool parseFlagValue(const std::string &Arg, unsigned Max, unsigned &Out) {
+  size_t Eq = Arg.find('=');
+  if (parsePositive(Arg.substr(Eq + 1), Out) && Out <= Max)
+    return true;
+  if (Max >= INT_MAX)
+    std::fprintf(stderr, "error: %s needs a positive integer\n",
+                 Arg.substr(0, Eq).c_str());
+  else
+    std::fprintf(stderr, "error: %s needs an integer in [1, %u]\n",
+                 Arg.substr(0, Eq).c_str(), Max);
+  return false;
 }
 
 /// Writes \p Contents to \p Path; reports and returns false on failure.
@@ -554,7 +573,8 @@ int cmdSim(const std::string &Spec, const std::string &StrategyArg,
   std::printf("program %s on %u clusters, %u-cycle moves — trace of %llu "
               "block executions\n\n",
               P.getName().c_str(), Clusters, Latency,
-              static_cast<unsigned long long>(PP.Trace->numBlockEvents()));
+              static_cast<unsigned long long>(
+                  PP.Summary->numBlockEvents()));
 
   std::vector<CellResult> Evals = evaluateStrategies(
       "sim", Spec, PP, Kinds, Latency, Clusters, /*Simulate=*/true);
@@ -695,7 +715,8 @@ int cmdReport(const std::string &Spec, unsigned Latency, unsigned Clusters,
                    "%u threads\n",
                    P.getNumFunctions(), P.getNumOps(), P.getNumObjects(),
                    Clusters, Latency,
-                   static_cast<unsigned long long>(PP.Trace->numBlockEvents()),
+                   static_cast<unsigned long long>(
+                       PP.Summary->numBlockEvents()),
                    toolThreads());
 
   // -- Strategy results ----------------------------------------------------
@@ -936,7 +957,7 @@ int cmdRequest(int argc, char **argv) {
   serve::StatsFormat StatsFmt = serve::StatsFormat::Json;
   serve::PartitionRequest Req;
   std::string Spec;
-  int TimeoutMs = 30000;
+  unsigned TimeoutMs = 30000;
   for (int I = 2; I < argc; ++I) {
     std::string Arg = argv[I];
     std::string Err;
@@ -966,17 +987,18 @@ int cmdRequest(int argc, char **argv) {
       InlineIR = true;
     else if (Arg.rfind("--strategy=", 0) == 0)
       Req.Strategy = Arg.substr(11);
-    else if (Arg.rfind("--latency=", 0) == 0)
-      Req.MoveLatency = static_cast<unsigned>(std::atoi(Arg.c_str() + 10));
-    else if (Arg.rfind("--lat=", 0) == 0)
-      Req.MoveLatency = static_cast<unsigned>(std::atoi(Arg.c_str() + 6));
-    else if (Arg.rfind("--clusters=", 0) == 0)
-      Req.Clusters = static_cast<unsigned>(std::atoi(Arg.c_str() + 11));
-    else if (Arg.rfind("--deadline-ms=", 0) == 0)
+    else if (Arg.rfind("--latency=", 0) == 0 || Arg.rfind("--lat=", 0) == 0) {
+      if (!parseFlagValue(Arg, MaxMoveLatency, Req.MoveLatency))
+        return 1;
+    } else if (Arg.rfind("--clusters=", 0) == 0) {
+      if (!parseFlagValue(Arg, UINT_MAX, Req.Clusters))
+        return 1;
+    } else if (Arg.rfind("--deadline-ms=", 0) == 0)
       Req.DeadlineMs = std::strtoull(Arg.c_str() + 14, nullptr, 10);
-    else if (Arg.rfind("--timeout-ms=", 0) == 0)
-      TimeoutMs = std::atoi(Arg.c_str() + 13);
-    else if (Arg.rfind("--", 0) == 0) {
+    else if (Arg.rfind("--timeout-ms=", 0) == 0) {
+      if (!parseFlagValue(Arg, INT_MAX, TimeoutMs))
+        return 1;
+    } else if (Arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: request: unknown flag '%s'\n",
                    Arg.c_str());
       return 1;
@@ -995,9 +1017,9 @@ int cmdRequest(int argc, char **argv) {
   }
 
   serve::Client C;
-  C.setTimeoutMs(TimeoutMs);
+  C.setTimeoutMs(static_cast<int>(TimeoutMs));
   std::vector<support::Diag> Diags;
-  if (!C.connect(Server, TimeoutMs, &Diags)) {
+  if (!C.connect(Server, static_cast<int>(TimeoutMs), &Diags)) {
     // Transport-level unavailability gets its own exit code (4) and diag
     // site so scripts can tell "shard down" from "bad request".
     Diags.push_back(support::errorDiag(support::StatusCode::Internal,
@@ -1123,17 +1145,23 @@ int main(int argc, char **argv) {
       Optimize = true;
     else if (Arg.rfind("--strategy=", 0) == 0)
       Strategy = Arg.substr(11);
-    else if (Arg.rfind("--latency=", 0) == 0)
-      Latency = static_cast<unsigned>(std::atoi(Arg.c_str() + 10));
-    else if (Arg.rfind("--lat=", 0) == 0)
-      Latency = static_cast<unsigned>(std::atoi(Arg.c_str() + 6));
-    else if (Arg.rfind("--clusters=", 0) == 0)
-      Clusters = static_cast<unsigned>(std::atoi(Arg.c_str() + 11));
-    else if (Arg.rfind("--threads=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + 10);
-      ThreadsFlag = N > 0 ? static_cast<unsigned>(N) : 1;
-    }
-    else if (Arg == "--affinity")
+    else if (Arg.rfind("--latency=", 0) == 0 ||
+             Arg.rfind("--lat=", 0) == 0) {
+      if (!parseFlagValue(Arg, MaxMoveLatency, Latency)) {
+        usage();
+        return 1;
+      }
+    } else if (Arg.rfind("--clusters=", 0) == 0) {
+      if (!parseFlagValue(Arg, UINT_MAX, Clusters)) {
+        usage();
+        return 1;
+      }
+    } else if (Arg.rfind("--threads=", 0) == 0) {
+      if (!parseFlagValue(Arg, support::MaxThreads, ThreadsFlag)) {
+        usage();
+        return 1;
+      }
+    } else if (Arg == "--affinity")
       AffinityFlag = "1";
     else if (Arg.rfind("--affinity=", 0) == 0)
       AffinityFlag = Arg.size() > 11 ? Arg.substr(11) : "1";
@@ -1162,12 +1190,6 @@ int main(int argc, char **argv) {
       usage();
       return 1;
     }
-  }
-  if (Latency == 0 || Clusters == 0) {
-    std::fprintf(stderr,
-                 "error: --lat and --clusters need positive integers\n");
-    usage();
-    return 1;
   }
   // Worker pinning: --affinity beats GDP_AFFINITY; an unparsable value in
   // either is a structured usage error with the input-error exit code.
