@@ -21,10 +21,11 @@
 //  * The §4.5 pass: the detailed computation partitioner dominates compile
 //    time, and Profile Max runs it twice where GDP and Naive run it once,
 //    so Profile Max should cost roughly 2x GDP. The pipeline shares one
-//    unlocked RHOP run between Unified, Naive and ProfileMax on one
-//    preparation (partition/UnlockedRHOP.h). This table compares
-//    algorithmic cost, so each of its cells runs on its own copy of the
-//    preparation with an empty table and pays for its own runs.
+//    unlocked RHOP run between Unified, Naive and ProfileMax, and one GDP
+//    data partition between the latencies, on one preparation
+//    (partition/PartitionTables.h). This table compares algorithmic cost,
+//    so each of its cells runs on its own copy of the preparation with
+//    fresh tables and pays for its own data partition and RHOP runs.
 //
 // With --affinity the binary instead runs the concurrent-vs-pinned
 // experiment matrix: the full figure-7 evaluation at 1/2/4/8 threads,
@@ -39,7 +40,7 @@
 
 #include "bench/BenchCommon.h"
 
-#include "partition/UnlockedRHOP.h"
+#include "partition/PartitionTables.h"
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
 
@@ -154,10 +155,10 @@ int runAffinityMatrix(const std::string &OutPath, unsigned Latency) {
     for (bool Pin : {false, true}) {
       setThreads(Threads);
       support::setThreadAffinity(Pin);
-      // Each configuration starts from empty unlocked-RHOP tables, so its
-      // wall time does not reuse RHOP runs an earlier configuration made.
+      // Each configuration starts from fresh partition tables, so its wall
+      // time does not reuse passes an earlier configuration made.
       for (SuiteEntry &E : Suite)
-        E.PP.Unlocked = std::make_shared<UnlockedRHOPTable>();
+        E.PP.Tables = std::make_shared<PartitionTables>();
       double Begin = nowSec();
       std::vector<std::string> Records = runMatrixRecords(Tasks);
       AffinityRun Run{Threads, Pin, nowSec() - Begin};
@@ -223,7 +224,7 @@ void printCompileTimeTable(const std::vector<SuiteEntry> &Suite,
   for (const SuiteEntry &E : Suite)
     for (StrategyKind K : TableKinds) {
       Unshared.push_back(E.PP);
-      Unshared.back().Unlocked = std::make_shared<UnlockedRHOPTable>();
+      Unshared.back().Tables = std::make_shared<PartitionTables>();
       EvalCell &C = Cells.emplace_back();
       C.PP = &Unshared.back();
       C.Opt.Strategy = K;
@@ -255,7 +256,8 @@ void printCompileTimeTable(const std::vector<SuiteEntry> &Suite,
   }
   AddRow("total", GDPTotal, PMTotal, NaiveTotal);
   std::printf("Section 4.5: partitioning time (data partition + RHOP) per "
-              "strategy, each cell\npaying for its own RHOP runs:\n%s\n",
+              "strategy, each cell\npaying for its own data partition and "
+              "RHOP runs:\n%s\n",
               Table.render().c_str());
   std::printf("Paper shape: Profile Max is two complete runs of the detailed "
               "computation\npartitioner, so its compile time is roughly twice "

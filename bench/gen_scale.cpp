@@ -24,7 +24,7 @@
 #include "bench/BenchCommon.h"
 #include "gen/Generator.h"
 #include "partition/PreparedCache.h"
-#include "partition/UnlockedRHOP.h"
+#include "partition/PartitionTables.h"
 
 #include <chrono>
 #include <cstdio>
@@ -255,10 +255,10 @@ int main(int argc, char **argv) {
     for (unsigned T : ThreadCounts) {
       ThreadRun TR;
       TR.Threads = T;
-      // Each thread count starts from an empty unlocked-RHOP table, so its
-      // wall time does not reuse RHOP runs an earlier count made.
+      // Each thread count starts from fresh partition tables, so its wall
+      // time does not reuse passes an earlier count made.
       PreparedProgram Fresh = PP;
-      Fresh.Unlocked = std::make_shared<UnlockedRHOPTable>();
+      Fresh.Tables = std::make_shared<PartitionTables>();
       std::vector<EvalCell> Cells(std::size(Kinds));
       for (size_t C = 0; C != Cells.size(); ++C) {
         Cells[C].PP = &Fresh;

@@ -44,7 +44,9 @@
 //
 // Exit code 1 if any timed request failed (shed, error, or transport) in
 // normal mode, so CI's nominal-load run asserts zero sheds by
-// construction.
+// construction. Exit code 1 too, before anything boots, for a count flag
+// that is not a positive integer, more than support::MaxThreads clients,
+// or more than support::MaxThreads shard threads in all.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +56,7 @@
 #include "support/Histogram.h"
 #include "support/StatsRegistry.h"
 #include "support/StrUtil.h"
+#include "support/ThreadPool.h"
 
 #include <csignal>
 #include <sys/wait.h>
@@ -237,20 +240,31 @@ int main(int argc, char **argv) {
   unsigned Shards = 4, Clients = 8, ThreadsPerShard = 2, Replicas = 1;
   uint64_t Requests = 2000;
   bool Deterministic = false;
+  auto Count = [](const std::string &Arg, size_t Prefix, unsigned &Out) {
+    if (parsePositive(Arg.substr(Prefix), Out))
+      return true;
+    std::fprintf(stderr, "serve_load: %s needs a positive integer\n",
+                 Arg.substr(0, Prefix - 1).c_str());
+    return false;
+  };
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
+    bool Ok = true;
     if (Arg.rfind("--server=", 0) == 0)
       ServerAddr = Arg.substr(9);
     else if (Arg.rfind("--shards=", 0) == 0)
-      Shards = static_cast<unsigned>(std::atoi(Arg.c_str() + 9));
+      Ok = Count(Arg, 9, Shards);
     else if (Arg.rfind("--clients=", 0) == 0)
-      Clients = static_cast<unsigned>(std::atoi(Arg.c_str() + 10));
-    else if (Arg.rfind("--requests=", 0) == 0)
-      Requests = std::strtoull(Arg.c_str() + 11, nullptr, 10);
-    else if (Arg.rfind("--threads-per-shard=", 0) == 0)
-      ThreadsPerShard = static_cast<unsigned>(std::atoi(Arg.c_str() + 20));
+      Ok = Count(Arg, 10, Clients);
+    else if (Arg.rfind("--requests=", 0) == 0) {
+      Ok = parseUnsigned(Arg.substr(11), Requests) && Requests > 0;
+      if (!Ok)
+        std::fprintf(stderr, "serve_load: --requests needs a positive "
+                             "integer\n");
+    } else if (Arg.rfind("--threads-per-shard=", 0) == 0)
+      Ok = Count(Arg, 20, ThreadsPerShard);
     else if (Arg.rfind("--replicas=", 0) == 0)
-      Replicas = static_cast<unsigned>(std::atoi(Arg.c_str() + 11));
+      Ok = Count(Arg, 11, Replicas);
     else if (Arg.rfind("--out=", 0) == 0)
       OutPath = Arg.substr(6);
     else if (Arg.rfind("--sock-dir=", 0) == 0)
@@ -265,10 +279,15 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "serve_load: unknown flag '%s'\n", Arg.c_str());
       return 1;
     }
+    if (!Ok)
+      return 1;
   }
-  if (Shards == 0 || Clients == 0 || Requests == 0 || Replicas == 0) {
-    std::fprintf(stderr, "serve_load: --shards/--clients/--requests/"
-                         "--replicas must be positive\n");
+  if (Clients > support::MaxThreads ||
+      static_cast<uint64_t>(Shards) * ThreadsPerShard > support::MaxThreads) {
+    std::fprintf(stderr,
+                 "serve_load: at most %u clients and %u shard threads "
+                 "(--shards x --threads-per-shard)\n",
+                 support::MaxThreads, support::MaxThreads);
     return 1;
   }
   if (Replicas > Shards) {

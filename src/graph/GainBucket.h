@@ -10,10 +10,13 @@
 /// the cut gain of going there), and the refiner repeatedly extracts the
 /// most attractive candidate, applies it, and updates the neighbors'
 /// entries in place. Edge weights here are arbitrary 64-bit values, so a
-/// classical array-of-buckets indexed by gain is impossible; an ordered
-/// set with a per-node handle gives the same O(log n) insert / update /
-/// extract with strict deterministic ordering: higher gain first, then
-/// smaller destination part, then smaller node id.
+/// classical array-of-buckets indexed by gain is impossible; an indexed
+/// binary heap (the entries plus each node's heap position, both on the
+/// run's arena) gives O(log n) insert / update / erase with no allocation
+/// per entry. The order is strict and total (higher gain first, then
+/// smaller destination part, then smaller node id) and a node holds at
+/// most one entry, so top() is a pure function of the live entries: the
+/// extraction sequence does not depend on the heap's internal layout.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
 
 namespace gdp {
 
@@ -37,14 +39,10 @@ public:
     unsigned Node;
   };
 
-  /// Handle tables on \p A when given (heap otherwise). The ordered set
-  /// itself always uses the heap: its erase/insert churn across a pass
-  /// needs real frees, which a bump arena would turn into growth
-  /// proportional to total moves instead of live entries.
-  explicit GainBucket(support::Arena *A = nullptr)
-      : Handle(A), Present(A) {}
+  /// Heap and position tables on \p A when given (heap memory otherwise).
+  explicit GainBucket(support::Arena *A = nullptr) : Heap(A), Pos(A) {}
 
-  /// Empties the queue and sizes the handle table for \p NumNodes nodes.
+  /// Empties the queue and sizes the position table for \p NumNodes nodes.
   void reset(unsigned NumNodes);
 
   /// Inserts the candidate move of \p Node, or replaces its current one.
@@ -54,30 +52,33 @@ public:
   void erase(unsigned Node);
 
   bool contains(unsigned Node) const {
-    return Node < Present.size() && Present[Node];
+    return Node < Pos.size() && Pos[Node] != Absent;
   }
 
-  bool empty() const { return Set.empty(); }
-  size_t size() const { return Set.size(); }
+  bool empty() const { return Heap.empty(); }
+  size_t size() const { return Heap.size(); }
 
   /// Best candidate: highest gain, ties to smaller part id, then smaller
   /// node id. Precondition: !empty().
-  const Entry &top() const { return *Set.begin(); }
+  const Entry &top() const { return Heap.front(); }
 
 private:
-  struct Compare {
-    bool operator()(const Entry &A, const Entry &B) const {
-      if (A.Gain != B.Gain)
-        return A.Gain > B.Gain;
-      if (A.Part != B.Part)
-        return A.Part < B.Part;
-      return A.Node < B.Node;
-    }
-  };
+  static constexpr unsigned Absent = ~0u;
 
-  std::set<Entry, Compare> Set;
-  support::ArenaVector<Entry> Handle;    ///< Per-node key currently in Set.
-  support::ArenaVector<uint8_t> Present; ///< Whether Handle[n] is live.
+  /// True when \p A is extracted before \p B.
+  static bool before(const Entry &A, const Entry &B) {
+    if (A.Gain != B.Gain)
+      return A.Gain > B.Gain;
+    if (A.Part != B.Part)
+      return A.Part < B.Part;
+    return A.Node < B.Node;
+  }
+
+  /// Moves \p E, which belongs at heap index \p I, up or down to its place.
+  void sift(size_t I, const Entry &E);
+
+  support::ArenaVector<Entry> Heap;   ///< Binary heap, best entry first.
+  support::ArenaVector<unsigned> Pos; ///< Per-node heap index, or Absent.
 };
 
 } // namespace gdp

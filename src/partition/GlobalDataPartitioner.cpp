@@ -6,7 +6,6 @@
 #include "ir/Program.h"
 #include "profile/ProfileData.h"
 #include "sched/BlockDFG.h"
-#include "support/FaultInjector.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -23,14 +22,6 @@ GDPResult gdp::runGlobalDataPartitioning(const ProgramAnalyses &PA,
                                          unsigned NumClusters,
                                          const GDPOptions &Opt) {
   const Program &P = PA.program();
-  if (support::faultAt("graph.coarsen")) {
-    GDPResult Result;
-    Result.Feasible = false;
-    Result.Placement = DataPlacement(P.getNumObjects());
-    Result.Diags.push_back(support::injectedFaultDiag("graph.coarsen"));
-    return Result;
-  }
-
   ProgramGraph PG(PA, Prof);
   AccessMerge Merge(PG, P, Opt.Policy);
 

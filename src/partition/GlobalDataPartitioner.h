@@ -47,6 +47,8 @@ struct GDPOptions {
   /// (empty = uniform). The pipeline fills this from the machine's
   /// per-cluster memory-unit counts.
   std::vector<double> ClusterCapacityShares;
+
+  bool operator==(const GDPOptions &) const = default;
 };
 
 /// Result of the data-partitioning pass.
@@ -54,13 +56,14 @@ struct GDPResult {
   DataPlacement Placement;
   uint64_t CutWeight = 0;   ///< Flow volume crossing clusters in the model.
   unsigned NumGroups = 0;   ///< Coarsened node count handed to the cutter.
-  /// False when the pass produced no usable placement: the coarsen+cut
-  /// failed (fault site "graph.coarsen"), or MemCapacityBytes is set, the
-  /// cut leaves some cluster over capacity, and a fitting assignment could
-  /// exist (total footprint ≤ NumClusters × capacity). The pipeline's
-  /// degradation chain (docs/ROBUSTNESS.md) takes over. When the footprint
-  /// itself exceeds total memory no assignment can fit, so the result
-  /// stays feasible with a warning diagnostic — capacity is advisory then.
+  /// False when the pass produced no usable placement: MemCapacityBytes
+  /// is set, the cut leaves some cluster over capacity, and a fitting
+  /// assignment could exist (total footprint ≤ NumClusters × capacity).
+  /// The pipeline's degradation chain (docs/ROBUSTNESS.md) takes over; it
+  /// also builds an infeasible result when its "graph.coarsen" fault site
+  /// fires. When the footprint itself exceeds total memory no assignment
+  /// can fit, so the result stays feasible with a warning diagnostic —
+  /// capacity is advisory then.
   bool Feasible = true;
   /// Diagnostics explaining infeasibility (and capacity warnings).
   std::vector<support::Diag> Diags;

@@ -4,7 +4,7 @@
 
 #include "analysis/PointsTo.h"
 #include "ir/Verifier.h"
-#include "partition/UnlockedRHOP.h"
+#include "partition/PartitionTables.h"
 #include "profile/ExecTrace.h"
 #include "profile/Interpreter.h"
 #include "sched/ListScheduler.h"
@@ -113,7 +113,7 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
         std::make_shared<const TraceSummary>(summarizeTrace(P, Trace));
   }
   PP.Ok = true;
-  PP.Unlocked = std::make_shared<UnlockedRHOPTable>();
+  PP.Tables = std::make_shared<PartitionTables>();
   Done();
   return PP;
 }
@@ -156,14 +156,38 @@ objectAccessByCluster(const Program &P, const ProfileData &Prof,
 
 /// The unlocked (unified-memory) RHOP assignment of \p PP on \p MM, the
 /// first step of Unified, Naive and ProfileMax: computed once per prepared
-/// program and machine (partition/UnlockedRHOP.h).
-std::shared_ptr<const UnlockedRHOP> unlockedRHOP(const PreparedProgram &PP,
-                                                 const MachineModel &MM) {
+/// program and machine (partition/PartitionTables.h).
+ClusterAssignment unlockedRHOP(const PreparedProgram &PP,
+                               PartitionTables &Tables,
+                               const MachineModel &MM) {
   telemetry::Span T("pipeline.rhop");
-  UnlockedRHOPTable Unshared; // For a preparation not made by prepareProgram.
-  UnlockedRHOPTable &Table = PP.Unlocked ? *PP.Unlocked : Unshared;
-  return Table.get(
-      MM, [&] { return runRHOP(*PP.Analyses, PP.Prof, MM, nullptr); });
+  return Tables.Unlocked
+      .get(MM, [&] { return runRHOP(*PP.Analyses, PP.Prof, MM, nullptr); })
+      ->Value;
+}
+
+/// GDP's data partition of \p PP on \p NumClusters clusters under \p Opt:
+/// the first pass, which reads neither the move latency nor anything
+/// computed after it, so it is computed once per prepared program and key
+/// (partition/PartitionTables.h). The graph.coarsen fault is polled first:
+/// a faulted call neither reads nor fills a slot, so a fault plan's hit
+/// counts do not depend on which evaluation built the slot.
+GDPResult dataPartition(const PreparedProgram &PP, PartitionTables &Tables,
+                        unsigned NumClusters, const GDPOptions &Opt) {
+  if (support::faultAt("graph.coarsen")) {
+    GDPResult Faulted;
+    Faulted.Feasible = false;
+    Faulted.Placement = DataPlacement(PP.P->getNumObjects());
+    Faulted.Diags.push_back(support::injectedFaultDiag("graph.coarsen"));
+    return Faulted;
+  }
+  return Tables.DataPartitions
+      .get({NumClusters, Opt},
+           [&] {
+             return runGlobalDataPartitioning(*PP.Analyses, PP.Prof,
+                                              NumClusters, Opt);
+           })
+      ->Value;
 }
 
 /// GDP with built-in recovery: an infeasible first cut is retried once
@@ -171,6 +195,7 @@ std::shared_ptr<const UnlockedRHOP> unlockedRHOP(const PreparedProgram &PP,
 /// (\p FailedOut) and the caller demotes to ProfileMax. \p DegradedOut is
 /// set when the relaxed retry was needed, even if it then succeeded.
 PipelineResult runGDPStrategy(const PreparedProgram &PP,
+                              PartitionTables &Tables,
                               const PipelineOptions &Opt,
                               const MachineModel &MM, bool &FailedOut,
                               bool &DegradedOut) {
@@ -192,8 +217,7 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
     }
     if (DataOpt.MemCapacityBytes == 0)
       DataOpt.MemCapacityBytes = MM.getClusterMemoryBytes();
-    GDPResult D = runGlobalDataPartitioning(*PP.Analyses, PP.Prof,
-                                            MM.getNumClusters(), DataOpt);
+    GDPResult D = dataPartition(PP, Tables, MM.getNumClusters(), DataOpt);
     for (support::Diag &Dg : D.Diags)
       R.Diags.push_back(std::move(Dg));
     if (!D.Feasible) {
@@ -207,8 +231,7 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
               .with("mem_tolerance", Relaxed.MemBalanceTolerance));
       telemetry::counter("pipeline.relaxed_retries");
       DegradedOut = true;
-      D = runGlobalDataPartitioning(*PP.Analyses, PP.Prof,
-                                    MM.getNumClusters(), Relaxed);
+      D = dataPartition(PP, Tables, MM.getNumClusters(), Relaxed);
       for (support::Diag &Dg : D.Diags)
         R.Diags.push_back(std::move(Dg));
       if (!D.Feasible) {
@@ -233,6 +256,7 @@ PipelineResult runGDPStrategy(const PreparedProgram &PP,
 }
 
 PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
+                                     PartitionTables &Tables,
                                      const PipelineOptions &Opt,
                                      const MachineModel &MM,
                                      bool &FailedOut) {
@@ -241,7 +265,7 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
   unsigned NumClusters = MM.getNumClusters();
 
   // First detailed run: unified-memory assumption (no locks).
-  std::shared_ptr<const UnlockedRHOP> First = unlockedRHOP(PP, MM);
+  ClusterAssignment First = unlockedRHOP(PP, Tables, MM);
 
   telemetry::Span PlacementSpan("pipeline.data_partition");
   // Objects are grouped exactly as in GDP's coarsening (paper §4.1: "the
@@ -250,8 +274,7 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
   ProgramGraph PG(*PP.Analyses, PP.Prof);
   AccessMerge Merge(PG, P, Opt.DataOpt.Policy);
   auto Classes = Merge.objectClasses();
-  auto Counts =
-      objectAccessByCluster(P, PP.Prof, First->Assignment, NumClusters);
+  auto Counts = objectAccessByCluster(P, PP.Prof, First, NumClusters);
 
   struct ClassInfo {
     unsigned Index;
@@ -328,13 +351,14 @@ PipelineResult runProfileMaxStrategy(const PreparedProgram &PP,
 }
 
 PipelineResult runNaiveStrategy(const PreparedProgram &PP,
+                                PartitionTables &Tables,
                                 const MachineModel &MM) {
   PipelineResult R;
   const Program &P = *PP.P;
   unsigned NumClusters = MM.getNumClusters();
 
   // Data-incognizant partitioning (unified-memory assumption).
-  R.Assignment = unlockedRHOP(PP, MM)->Assignment;
+  R.Assignment = unlockedRHOP(PP, Tables, MM);
   R.RHOPRuns = 1;
 
   telemetry::Span PlacementSpan("pipeline.data_partition");
@@ -371,9 +395,10 @@ PipelineResult runNaiveStrategy(const PreparedProgram &PP,
 }
 
 PipelineResult runUnifiedStrategy(const PreparedProgram &PP,
+                                  PartitionTables &Tables,
                                   const MachineModel &MM) {
   PipelineResult R;
-  R.Assignment = unlockedRHOP(PP, MM)->Assignment;
+  R.Assignment = unlockedRHOP(PP, Tables, MM);
   R.RHOPRuns = 1;
   R.Placement = DataPlacement(PP.P->getNumObjects()); // All unplaced.
   return R;
@@ -396,7 +421,7 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
   if (PP.P)
     Strat.attr("program", PP.P->getName());
 
-  if (!PP.Ok || !PP.Analyses) {
+  if (!PP.Ok || !PP.Analyses || !PP.Tables) {
     R.Failed = true;
     R.Diags = PP.Diags;
     if (R.Diags.empty())
@@ -438,6 +463,7 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
     return true;
   };
 
+  PartitionTables &Tables = *PP.Tables;
   StrategyKind Effective = Opt.Strategy;
   for (;;) {
     if (OverBudget("pipeline.strategy")) {
@@ -448,16 +474,16 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
     PipelineResult A;
     switch (Effective) {
     case StrategyKind::GDP:
-      A = runGDPStrategy(PP, Opt, MM, AttemptFailed, R.Degraded);
+      A = runGDPStrategy(PP, Tables, Opt, MM, AttemptFailed, R.Degraded);
       break;
     case StrategyKind::ProfileMax:
-      A = runProfileMaxStrategy(PP, Opt, MM, AttemptFailed);
+      A = runProfileMaxStrategy(PP, Tables, Opt, MM, AttemptFailed);
       break;
     case StrategyKind::Naive:
-      A = runNaiveStrategy(PP, MM);
+      A = runNaiveStrategy(PP, Tables, MM);
       break;
     case StrategyKind::Unified:
-      A = runUnifiedStrategy(PP, MM);
+      A = runUnifiedStrategy(PP, Tables, MM);
       break;
     }
     R.RHOPRuns += A.RHOPRuns;

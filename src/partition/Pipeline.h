@@ -46,7 +46,7 @@ namespace gdp {
 
 class ProgramAnalyses;
 struct TraceSummary;
-class UnlockedRHOPTable;
+struct PartitionTables;
 
 namespace telemetry {
 class StatsRegistry;
@@ -120,10 +120,13 @@ struct PreparedProgram {
   /// prepareProgram on success and shared by every copy; null when
   /// preparation failed.
   std::shared_ptr<const ProgramAnalyses> Analyses;
-  /// The unlocked RHOP assignments Unified, Naive and ProfileMax start
-  /// from, computed once per machine and shared by every copy
-  /// (partition/UnlockedRHOP.h). Attached by prepareProgram on success.
-  std::shared_ptr<UnlockedRHOPTable> Unlocked;
+  /// The passes every evaluation of this preparation shares: the unlocked
+  /// RHOP assignment Unified, Naive and ProfileMax start from, per
+  /// machine, and GDP's data partition, per cluster count and data
+  /// options (partition/PartitionTables.h). Attached by prepareProgram on
+  /// success and shared by every copy; a copy given fresh tables shares
+  /// nothing with the original.
+  std::shared_ptr<PartitionTables> Tables;
 };
 
 /// Verifies \p P, annotates memory access sets (points-to), interprets the

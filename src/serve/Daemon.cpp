@@ -9,6 +9,7 @@
 #include "support/ThreadPool.h"
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -27,13 +28,6 @@ std::atomic<Server *> ActiveServer{nullptr};
 void onStopSignal(int) {
   if (Server *S = ActiveServer.load(std::memory_order_relaxed))
     S->requestStop();
-}
-
-bool parseUnsigned(const std::string &V, uint64_t &Out) {
-  if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  Out = std::strtoull(V.c_str(), nullptr, 10);
-  return true;
 }
 
 } // namespace
@@ -113,16 +107,17 @@ bool gdp::serve::parseDaemonArg(const std::string &Arg, DaemonOptions &O,
     return true;
   }
   if (Is("--io-timeout-ms")) {
-    if (!parseUnsigned(Value("--io-timeout-ms"), N) || N == 0) {
-      Err = "--io-timeout-ms expects a positive number";
+    if (!parseUnsigned(Value("--io-timeout-ms"), N) || N == 0 ||
+        N > INT_MAX) {
+      Err = "--io-timeout-ms expects 1..2147483647";
       return false;
     }
     O.IoTimeoutMs = static_cast<int>(N);
     return true;
   }
   if (Is("--drain-ms")) {
-    if (!parseUnsigned(Value("--drain-ms"), N)) {
-      Err = "--drain-ms expects a number";
+    if (!parseUnsigned(Value("--drain-ms"), N) || N > INT_MAX) {
+      Err = "--drain-ms expects 0..2147483647";
       return false;
     }
     O.DrainMs = static_cast<int>(N);
@@ -145,16 +140,18 @@ bool gdp::serve::parseDaemonArg(const std::string &Arg, DaemonOptions &O,
     return true;
   }
   if (Is("--breaker-cooldown-ms")) {
-    if (!parseUnsigned(Value("--breaker-cooldown-ms"), N) || N == 0) {
-      Err = "--breaker-cooldown-ms expects a positive number";
+    if (!parseUnsigned(Value("--breaker-cooldown-ms"), N) || N == 0 ||
+        N > INT_MAX) {
+      Err = "--breaker-cooldown-ms expects 1..2147483647";
       return false;
     }
     O.BreakerCooldownMs = static_cast<int>(N);
     return true;
   }
   if (Is("--health-check-ms")) {
-    if (!parseUnsigned(Value("--health-check-ms"), N)) {
-      Err = "--health-check-ms expects a number (0 disables the prober)";
+    if (!parseUnsigned(Value("--health-check-ms"), N) || N > INT_MAX) {
+      Err = "--health-check-ms expects 0..2147483647 (0 disables the "
+            "prober)";
       return false;
     }
     O.HealthCheckMs = static_cast<int>(N);

@@ -29,8 +29,12 @@
 ///
 /// Registered sites (see faultSites(); docs/ROBUSTNESS.md has the
 /// semantics of each):
-///   graph.coarsen  — GDP's program-graph coarsen+cut fails (placement
-///                    infeasible; the degradation chain takes over)
+///   graph.coarsen  — GDP's program-graph coarsen+cut fails in the
+///                    pipeline (placement infeasible; the relaxed retry
+///                    and then the degradation chain take over). Polled
+///                    per data partition before the preparation's shared
+///                    slot is looked up, so it fires in the same cells
+///                    whichever cell built the slot
 ///   rhop.lock      — constructing RHOP's lock map from a placement fails
 ///   sched.estimate — the final schedule estimate fails (evaluation fails)
 ///   sim.bus        — the cycle simulator's bus model fails

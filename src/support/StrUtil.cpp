@@ -52,6 +52,20 @@ bool gdp::parsePositive(const std::string &Text, unsigned &Out) {
   return Ec == std::errc() && Ptr == End && Out > 0;
 }
 
+bool gdp::parseUnsigned(const std::string &Text, uint64_t &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
+bool gdp::parseFraction(const std::string &Text, double &Out) {
+  if (Text.empty() || Text[0] == '-')
+    return false;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End && Out >= 0 && Out <= 1;
+}
+
 std::string gdp::join(const std::vector<std::string> &Parts,
                       const std::string &Sep) {
   std::string Result;

@@ -13,6 +13,7 @@
 #ifndef GDP_SUPPORT_STRUTIL_H
 #define GDP_SUPPORT_STRUTIL_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,16 @@ std::string formatPercent(double Fraction, unsigned Decimals = 1);
 /// value) into \p Out. False for anything else: empty, signed, trailing
 /// text, zero or out of range.
 bool parsePositive(const std::string &Text, unsigned &Out);
+
+/// Parses \p Text as an unsigned decimal integer (a seed, a count or a
+/// millisecond budget; 0 included) into \p Out. False for empty text, a
+/// sign, trailing text or a value above UINT64_MAX.
+bool parseUnsigned(const std::string &Text, uint64_t &Out);
+
+/// Parses \p Text as a decimal fraction in [0, 1] (a probability flag)
+/// into \p Out. False for empty text, a sign, trailing text or a value
+/// outside the range.
+bool parseFraction(const std::string &Text, double &Out);
 
 /// Joins \p Parts with \p Sep.
 std::string join(const std::vector<std::string> &Parts,

@@ -9,7 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "partition/UnlockedRHOP.h"
+#include "partition/PartitionTables.h"
 #include "sim/Evaluate.h"
 #include "support/FaultInjector.h"
 #include "support/StrUtil.h"
@@ -33,11 +33,11 @@ const PreparedProgram &fir() {
   return PP;
 }
 
-/// A copy of \p PP with an empty unlocked-RHOP table: nothing evaluated on
-/// it reuses a run made elsewhere.
+/// A copy of \p PP with fresh partition tables: nothing evaluated on it
+/// reuses a pass made elsewhere.
 PreparedProgram unshared(const PreparedProgram &PP) {
   PreparedProgram Copy = PP;
-  Copy.Unlocked = std::make_shared<UnlockedRHOPTable>();
+  Copy.Tables = std::make_shared<PartitionTables>();
   return Copy;
 }
 

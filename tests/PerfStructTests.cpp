@@ -23,6 +23,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -127,6 +128,87 @@ TEST(GainBucketTest, DrainOrderIndependentOfInsertOrder) {
     EXPECT_EQ(A[I].Node, B[I].Node) << "position " << I;
     EXPECT_EQ(A[I].Part, B[I].Part) << "position " << I;
     EXPECT_EQ(A[I].Gain, B[I].Gain) << "position " << I;
+  }
+}
+
+TEST(GainBucketTest, MatchesOrderedSetReference) {
+  // Seeded insert/update/erase/pop sequences against an ordered set of the
+  // same keys: after every step the queue's size, membership and top entry
+  // must equal the set's. Gains and parts come from small ranges so ties
+  // on gain and on part are frequent. Odd seeds keep the queue on an arena.
+  struct Before {
+    bool operator()(const GainBucket::Entry &A,
+                    const GainBucket::Entry &B) const {
+      if (A.Gain != B.Gain)
+        return A.Gain > B.Gain;
+      if (A.Part != B.Part)
+        return A.Part < B.Part;
+      return A.Node < B.Node;
+    }
+  };
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    Random RNG(Seed);
+    unsigned N = 1 + static_cast<unsigned>(RNG.nextBelow(80));
+    support::Arena A;
+    GainBucket B(Seed % 2 ? &A : nullptr);
+    std::set<GainBucket::Entry, Before> Ref;
+    std::vector<GainBucket::Entry> Live(N);
+    std::vector<bool> Present(N, false);
+    auto RefErase = [&](unsigned Node) {
+      if (Present[Node])
+        Ref.erase(Live[Node]);
+      Present[Node] = false;
+    };
+    for (int Round = 0; Round != 3; ++Round) {
+      B.reset(N); // Reuse after reset must start empty.
+      Ref.clear();
+      Present.assign(N, false);
+      for (int Step = 0; Step != 1500; ++Step) {
+        unsigned Node = static_cast<unsigned>(RNG.nextBelow(N));
+        switch (RNG.nextBelow(5)) {
+        case 0:
+        case 1:
+        case 2: {
+          GainBucket::Entry E{static_cast<int64_t>(RNG.nextBelow(9)) - 4,
+                              static_cast<unsigned>(RNG.nextBelow(3)), Node};
+          B.insertOrUpdate(Node, E.Part, E.Gain);
+          RefErase(Node);
+          Ref.insert(E);
+          Live[Node] = E;
+          Present[Node] = true;
+          break;
+        }
+        case 3:
+          B.erase(Node);
+          RefErase(Node);
+          break;
+        case 4:
+          if (!Ref.empty()) {
+            unsigned Best = B.top().Node;
+            B.erase(Best);
+            RefErase(Best);
+          }
+          break;
+        }
+        ASSERT_EQ(B.size(), Ref.size()) << "seed " << Seed << " step " << Step;
+        ASSERT_EQ(B.contains(Node), Present[Node]) << "seed " << Seed;
+        if (Ref.empty()) {
+          ASSERT_TRUE(B.empty());
+          continue;
+        }
+        const GainBucket::Entry &Got = B.top(), &Want = *Ref.begin();
+        ASSERT_EQ(Got.Node, Want.Node) << "seed " << Seed << " step " << Step;
+        ASSERT_EQ(Got.Part, Want.Part) << "seed " << Seed << " step " << Step;
+        ASSERT_EQ(Got.Gain, Want.Gain) << "seed " << Seed << " step " << Step;
+      }
+      std::vector<GainBucket::Entry> Order = drain(B);
+      ASSERT_EQ(Order.size(), Ref.size()) << "seed " << Seed;
+      size_t I = 0;
+      for (const GainBucket::Entry &Want : Ref) {
+        EXPECT_EQ(Order[I].Node, Want.Node) << "seed " << Seed << " pos " << I;
+        ++I;
+      }
+    }
   }
 }
 

@@ -1,13 +1,15 @@
-//===- tests/RHOPSharingTests.cpp - One unlocked RHOP per preparation --------===//
+//===- tests/RHOPSharingTests.cpp - Passes shared per preparation ------------===//
 //
 // Unified, Naive and ProfileMax's first pass all start from the same RHOP
-// run with no locks. A prepared program computes that assignment once per
-// (machine, RHOP options) and hands it to every strategy that asks. These
+// run with no locks, and GDP's data partition reads neither the move
+// latency nor anything computed after it. A prepared program computes each
+// once per key (the machine; the cluster count and data options) and hands
+// it to every evaluation that asks (partition/PartitionTables.h). These
 // tests pin what makes the sharing invisible: a strategy evaluated on a
-// preparation that other strategies already used returns exactly what it
+// preparation that other cells already used returns exactly what it
 // returns on a fresh preparation of its own (cycles, moves, placement,
-// assignment and the record's telemetry counters), in any evaluation order
-// and under concurrent evaluation.
+// assignment, diagnostics and the record's telemetry counters), in any
+// evaluation order, under concurrent evaluation and under fault plans.
 //
 // The preparation also carries one analysis bundle (CFG, loops, region
 // DFGs) that RHOP, the scheduler and the simulator read instead of
@@ -23,9 +25,10 @@
 #include "gen/Generator.h"
 #include "partition/Pipeline.h"
 #include "partition/PreparedCache.h"
-#include "partition/UnlockedRHOP.h"
+#include "partition/PartitionTables.h"
 #include "sched/ListScheduler.h"
 #include "sim/Simulator.h"
+#include "support/FaultInjector.h"
 #include "support/StrUtil.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -87,9 +90,11 @@ std::string assignmentText(const Program &P, const ClusterAssignment &CA) {
 
 /// Everything observable about one evaluation: the deterministic bench
 /// record (cycles, moves, RHOP runs, every telemetry counter) followed by
-/// the data placement and the full operation assignment.
+/// the data placement, the full operation assignment and the diagnostics.
+/// With \p Faults the evaluation runs in a fault scope named \p Scope.
 std::string observe(const std::string &Name, const PreparedProgram &PP,
-                    const Cell &C) {
+                    const Cell &C, const support::FaultPlan *Faults = nullptr,
+                    const std::string &Scope = "") {
   PipelineOptions Opt;
   Opt.Strategy = C.Strategy;
   Opt.MoveLatency = C.MoveLatency;
@@ -97,7 +102,8 @@ std::string observe(const std::string &Name, const PreparedProgram &PP,
   telemetry::TelemetrySession Session;
   PipelineResult R;
   {
-    telemetry::ScopedSession Scope(Session);
+    telemetry::ScopedSession Installed(Session);
+    support::FaultScope FS(Faults, Scope);
     R = runStrategy(PP, Opt);
   }
   std::string Out = bench::formatRecord(Name, strategyName(C.Strategy),
@@ -107,6 +113,8 @@ std::string observe(const std::string &Name, const PreparedProgram &PP,
   for (unsigned O = 0; O != R.Placement.getNumObjects(); ++O)
     Out += std::to_string(R.Placement.getHome(O)) + ",";
   Out += " ops=" + assignmentText(*PP.P, R.Assignment);
+  Out += formatStr(" effective=%s diags=", strategyName(R.EffectiveStrategy));
+  Out += support::renderDiags(R.Diags);
   return Out;
 }
 
@@ -125,46 +133,62 @@ Prepared prepare(const Source &S, bool CaptureTrace = false) {
 }
 
 /// \p C evaluated on a preparation nothing else has touched.
-std::string observeFresh(const Source &S, const Cell &C) {
+std::string observeFresh(const Source &S, const Cell &C,
+                         const support::FaultPlan *Faults = nullptr,
+                         const std::string &Scope = "") {
   Prepared Fresh = prepare(S);
   if (!Fresh.PP.Ok)
     return S.Name + ": preparation failed: " + Fresh.PP.Error;
-  return observe(S.Name, Fresh.PP, C);
+  return observe(S.Name, Fresh.PP, C, Faults, Scope);
 }
 
 } // namespace
 
 TEST(RHOPSharing, EveryOrderEqualsFreshPreparations) {
   // Per program, every (clusters, latency, strategy) cell is evaluated
-  // once on a fresh preparation of its own. Then, for each order (Unified,
-  // Naive or ProfileMax first), every cell is evaluated again on ONE
-  // shared preparation, configuration by configuration, strategies in
-  // that order, and must match.
-  const std::vector<StrategyKind> Orders[] = {
-      {StrategyKind::Unified, StrategyKind::GDP, StrategyKind::ProfileMax,
-       StrategyKind::Naive},
-      {StrategyKind::Naive, StrategyKind::Unified, StrategyKind::ProfileMax,
-       StrategyKind::GDP},
-      {StrategyKind::ProfileMax, StrategyKind::GDP, StrategyKind::Naive,
-       StrategyKind::Unified}};
+  // once on a fresh preparation of its own. Then, for each order (each
+  // strategy first once; GDP's data partition built at latency 1 or 10),
+  // every cell is evaluated again on ONE shared preparation, configuration
+  // by configuration, strategies in that order, and must match.
+  struct Order {
+    std::vector<StrategyKind> Strategies;
+    std::vector<unsigned> Latencies;
+  };
+  const Order Orders[] = {
+      {{StrategyKind::Unified, StrategyKind::GDP, StrategyKind::ProfileMax,
+        StrategyKind::Naive},
+       {1, 5, 10}},
+      {{StrategyKind::Naive, StrategyKind::Unified, StrategyKind::ProfileMax,
+        StrategyKind::GDP},
+       {1, 5, 10}},
+      {{StrategyKind::ProfileMax, StrategyKind::GDP, StrategyKind::Naive,
+        StrategyKind::Unified},
+       {1, 5, 10}},
+      {{StrategyKind::GDP, StrategyKind::Naive, StrategyKind::Unified,
+        StrategyKind::ProfileMax},
+       {10, 5, 1}}};
   for (const Source &S : sources()) {
     std::map<std::tuple<StrategyKind, unsigned, unsigned>, std::string>
         Fresh;
     for (unsigned Clusters : {2u, 4u})
       for (unsigned Lat : {1u, 5u, 10u})
-        for (StrategyKind K : Orders[0])
+        for (StrategyKind K : Orders[0].Strategies)
           Fresh[{K, Lat, Clusters}] = observeFresh(S, Cell{K, Lat, Clusters});
-    for (const std::vector<StrategyKind> &Order : Orders) {
+    for (const Order &O : Orders) {
       Prepared Shared = prepare(S);
       ASSERT_TRUE(Shared.PP.Ok) << S.Name << ": " << Shared.PP.Error;
       for (unsigned Clusters : {2u, 4u})
-        for (unsigned Lat : {1u, 5u, 10u})
-          for (StrategyKind K : Order)
+        for (unsigned Lat : O.Latencies)
+          for (StrategyKind K : O.Strategies)
             EXPECT_EQ(observe(S.Name, Shared.PP, Cell{K, Lat, Clusters}),
                       (Fresh[{K, Lat, Clusters}]))
                 << S.Name << " " << strategyName(K) << " lat" << Lat << " "
-                << Clusters << " clusters, " << strategyName(Order[0])
+                << Clusters << " clusters, " << strategyName(O.Strategies[0])
                 << " first";
+      // One data partition per cluster count, one unlocked RHOP per
+      // machine.
+      EXPECT_EQ(Shared.PP.Tables->DataPartitions.size(), 2u) << S.Name;
+      EXPECT_EQ(Shared.PP.Tables->Unlocked.size(), 6u) << S.Name;
     }
   }
 }
@@ -226,6 +250,9 @@ TEST(RHOPSharing, ConcurrentStrategiesOnOnePreparationMatchSequential) {
 
 namespace {
 
+/// The unlocked-RHOP instance of the slot table.
+using UnlockedRHOPTable = SlotTable<MachineModel, ClusterAssignment>;
+
 /// A distinct machine per \p Latency (the key gdpd clients vary most).
 MachineModel machineAt(unsigned Latency) {
   return MachineModel::makeDefault(2, Latency);
@@ -286,6 +313,119 @@ TEST(RHOPSharing, SlotTelemetryReachesEveryCaller) {
     EXPECT_EQ(S.stats().getCounter("test.runs"), 1u);
   }
   EXPECT_EQ(Runs, 1);
+}
+
+//===----------------------------------------------------------------------===//
+// GDP's data partition
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Source firSource() { return {"fir", [] { return buildWorkload("fir"); }}; }
+
+support::FaultPlan planOf(const char *Spec) {
+  support::FaultPlan Plan;
+  std::string Err;
+  EXPECT_TRUE(support::FaultPlan::parse(Spec, Plan, &Err)) << Err;
+  return Plan;
+}
+
+} // namespace
+
+TEST(DataPartitionSharing, CoarsenFaultFiresAfterAnotherCellBuiltTheSlot) {
+  // graph.coarsen is polled per evaluation before the table lookup, so a
+  // rule fires in the cells it names whichever cell built the slot, and a
+  // faulted call neither reads nor fills a slot.
+  const Source Fir = firSource();
+  const Cell Lat5{StrategyKind::GDP, 5, 2}, Lat1{StrategyKind::GDP, 1, 2};
+  support::FaultPlan Once = planOf("graph.coarsen:1@target");
+  std::string Clean = observeFresh(Fir, Lat5);
+  std::string Faulted = observeFresh(Fir, Lat5, &Once, "target");
+  EXPECT_NE(Faulted, Clean);
+  EXPECT_NE(Faulted.find("graph.coarsen"), std::string::npos) << Faulted;
+  EXPECT_NE(Faulted.find("pipeline.retry"), std::string::npos) << Faulted;
+
+  Prepared Shared = prepare(Fir);
+  ASSERT_TRUE(Shared.PP.Ok) << Shared.PP.Error;
+  EXPECT_EQ(observe("fir", Shared.PP, Lat1, &Once, "other"),
+            observeFresh(Fir, Lat1))
+      << "the rule does not name this scope";
+  EXPECT_EQ(Shared.PP.Tables->DataPartitions.size(), 1u);
+  EXPECT_EQ(observe("fir", Shared.PP, Lat5, &Once, "target"), Faulted);
+  EXPECT_EQ(Shared.PP.Tables->DataPartitions.size(), 2u)
+      << "the relaxed retry has its own key";
+  EXPECT_EQ(observe("fir", Shared.PP, Lat5, &Once, "other"), Clean);
+
+  // A sticky rule faults both data partitions of the cell: GDP demotes to
+  // ProfileMax exactly as on a fresh preparation, and no slot is added.
+  support::FaultPlan Sticky = planOf("graph.coarsen:1+@target");
+  std::string Demoted = observe("fir", Shared.PP, Lat5, &Sticky, "target");
+  EXPECT_EQ(Demoted, observeFresh(Fir, Lat5, &Sticky, "target"));
+  EXPECT_NE(Demoted.find("effective=ProfileMax"), std::string::npos)
+      << Demoted;
+  EXPECT_EQ(Shared.PP.Tables->DataPartitions.size(), 2u);
+}
+
+TEST(DataPartitionSharing, ManyClusterCountsKeepTheTableBounded) {
+  // GDP at Capacity + 3 cluster counts on one preparation, twice over: the
+  // table never holds more than Capacity slots, evicted keys rebuild, and
+  // every record equals a fresh preparation's.
+  constexpr size_t Capacity = SlotTable<DataPartitionKey, GDPResult>::Capacity;
+  const Source Fir = firSource();
+  Prepared Shared = prepare(Fir);
+  ASSERT_TRUE(Shared.PP.Ok) << Shared.PP.Error;
+  for (int Round = 0; Round != 2; ++Round)
+    for (unsigned Clusters = 2; Clusters != Capacity + 5; ++Clusters) {
+      Cell C{StrategyKind::GDP, 5, Clusters};
+      EXPECT_EQ(observe("fir", Shared.PP, C), observeFresh(Fir, C))
+          << Clusters << " clusters, round " << Round;
+      EXPECT_LE(Shared.PP.Tables->DataPartitions.size(), Capacity);
+    }
+  EXPECT_EQ(Shared.PP.Tables->DataPartitions.size(), Capacity);
+}
+
+TEST(DataPartitionSharing, CopyWithFreshTablesSharesNoSlot) {
+  const Source Fir = firSource();
+  Prepared Pr = prepare(Fir);
+  ASSERT_TRUE(Pr.PP.Ok) << Pr.PP.Error;
+  const Cell Cells[] = {{StrategyKind::GDP, 5, 2},
+                        {StrategyKind::Unified, 5, 2}};
+  std::vector<std::string> Original;
+  for (const Cell &C : Cells)
+    Original.push_back(observe("fir", Pr.PP, C));
+  PreparedProgram Copy = Pr.PP;
+  EXPECT_EQ(Copy.Tables, Pr.PP.Tables) << "a plain copy shares the tables";
+  Copy.Tables = std::make_shared<PartitionTables>();
+  EXPECT_EQ(Copy.Tables->DataPartitions.size(), 0u);
+  EXPECT_EQ(Copy.Tables->Unlocked.size(), 0u);
+  for (size_t I = 0; I != std::size(Cells); ++I)
+    EXPECT_EQ(observe("fir", Copy, Cells[I]), Original[I]);
+
+  // Both tables now hold the key the pipeline used for each pass, each in
+  // a slot of its own: looking them up builds nothing.
+  MachineModel MM = MachineModel::makeDefault(2, 5);
+  DataPartitionKey Key{2, GDPOptions()};
+  Key.Opt.MemCapacityBytes = MM.getClusterMemoryBytes();
+  int Builds = 0;
+  auto NoGDP = [&Builds] {
+    ++Builds;
+    return GDPResult();
+  };
+  auto NoRHOP = [&Builds] {
+    ++Builds;
+    return ClusterAssignment();
+  };
+  EXPECT_NE(Pr.PP.Tables->DataPartitions.get(Key, NoGDP),
+            Copy.Tables->DataPartitions.get(Key, NoGDP));
+  EXPECT_NE(Pr.PP.Tables->Unlocked.get(MM, NoRHOP),
+            Copy.Tables->Unlocked.get(MM, NoRHOP));
+  EXPECT_EQ(Builds, 0);
+  EXPECT_EQ(Pr.PP.Tables->DataPartitions.size(), 1u);
+  EXPECT_EQ(Pr.PP.Tables->Unlocked.size(), 1u);
+
+  // Without tables the copy is not a prepared program.
+  Copy.Tables = nullptr;
+  EXPECT_TRUE(runStrategy(Copy, PipelineOptions()).Failed);
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,6 +19,7 @@
 #include "ir/Verifier.h"
 #include "partition/Exhaustive.h"
 #include "partition/GlobalDataPartitioner.h"
+#include "partition/PartitionTables.h"
 #include "partition/Pipeline.h"
 #include "support/Budget.h"
 #include "support/FaultInjector.h"
@@ -356,6 +357,37 @@ TEST(Degradation, CapacityInfeasibilityDemotesWithoutFaults) {
   EXPECT_EQ(R.EffectiveStrategy, StrategyKind::ProfileMax);
   ASSERT_NE(support::firstError(R.Diags), nullptr);
   EXPECT_EQ(support::firstError(R.Diags)->Code, StatusCode::Infeasible);
+}
+
+TEST(Degradation, InfeasibleDataPartitionIsSharedLikeAnyOther) {
+  // The infeasible first cut and the relaxed retry are cached under their
+  // own keys: a second evaluation on the same preparation (at another
+  // latency) reads both slots and demotes exactly as the first did.
+  auto P = parseCapacityHog();
+  PreparedProgram PP = prepareProgram(*P);
+  ASSERT_TRUE(PP.Ok) << PP.Error;
+  PipelineOptions Opt;
+  Opt.Strategy = StrategyKind::GDP;
+  Opt.DataOpt.MemCapacityBytes = 600;
+  PipelineResult First = runStrategy(PP, Opt);
+  EXPECT_EQ(PP.Tables->DataPartitions.size(), 2u);
+  Opt.MoveLatency = 10;
+  PipelineResult Second = runStrategy(PP, Opt);
+  EXPECT_EQ(PP.Tables->DataPartitions.size(), 2u);
+
+  auto Fresh = parseCapacityHog();
+  PreparedProgram FreshPP = prepareProgram(*Fresh);
+  ASSERT_TRUE(FreshPP.Ok) << FreshPP.Error;
+  PipelineResult Want = runStrategy(FreshPP, Opt);
+  EXPECT_EQ(First.Fallbacks, 1u);
+  EXPECT_EQ(Second.EffectiveStrategy, StrategyKind::ProfileMax);
+  EXPECT_EQ(support::renderDiags(Second.Diags),
+            support::renderDiags(First.Diags));
+  EXPECT_EQ(support::renderDiags(Second.Diags),
+            support::renderDiags(Want.Diags));
+  EXPECT_EQ(Second.Cycles, Want.Cycles);
+  for (unsigned I = 0; I != Want.Placement.getNumObjects(); ++I)
+    EXPECT_EQ(Second.Placement.getHome(I), Want.Placement.getHome(I)) << I;
 }
 
 TEST(Degradation, CapacityIsAdvisoryWhenNothingCouldFit) {

@@ -12,7 +12,7 @@
 
 #include "gen/Generator.h"
 #include "partition/PreparedCache.h"
-#include "partition/UnlockedRHOP.h"
+#include "partition/PartitionTables.h"
 #include "serve/Client.h"
 #include "serve/Coordinator.h"
 #include "serve/Server.h"
@@ -440,12 +440,14 @@ TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
   const std::string Spec = "gen:4243:60";
   gen::GenOptions GO;
   ASSERT_TRUE(gen::parseGenSpec(Spec, GO));
+  constexpr size_t Capacity =
+      SlotTable<MachineModel, ClusterAssignment>::Capacity;
   // Resident slots of the warm cache's preparation of Spec.
   auto Slots = [&] {
     auto C = PreparedProgramCache::global().get(
         Spec, /*CaptureTrace=*/false,
         [](std::vector<support::Diag> &) { return nullptr; });
-    return C->PP.Ok ? C->PP.Unlocked->size() : SIZE_MAX;
+    return C->PP.Ok ? C->PP.Tables->Unlocked.size() : SIZE_MAX;
   };
 
   std::vector<unsigned> Latencies;
@@ -487,10 +489,68 @@ TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
       EXPECT_EQ(Doc["static_moves"].Num,
                 static_cast<double>(Want.StaticMoves))
           << Where;
-      EXPECT_LE(Slots(), UnlockedRHOPTable::Capacity) << Where;
+      EXPECT_LE(Slots(), Capacity) << Where;
     }
   }
-  EXPECT_EQ(Slots(), UnlockedRHOPTable::Capacity);
+  EXPECT_EQ(Slots(), Capacity);
+}
+
+TEST(ServeService, ManyClusterCountsKeepTheDataPartitionTableBounded) {
+  // GDP's data partition is shared per cluster count, so one client asking
+  // for one program on many cluster counts (each at two latencies: the
+  // second request hits the slot the first built) keeps the program's
+  // table within its cap, rebuilds evicted counts, and gets answers equal
+  // to evaluations on fresh, uncached preparations.
+  ServiceOptions SO;
+  SO.Deterministic = true;
+  Service Svc(SO);
+  const std::string Spec = "gen:4244:60";
+  gen::GenOptions GO;
+  ASSERT_TRUE(gen::parseGenSpec(Spec, GO));
+  constexpr size_t Capacity =
+      SlotTable<DataPartitionKey, GDPResult>::Capacity;
+  auto Slots = [&] {
+    auto C = PreparedProgramCache::global().get(
+        Spec, /*CaptureTrace=*/false,
+        [](std::vector<support::Diag> &) { return nullptr; });
+    return C->PP.Ok ? C->PP.Tables->DataPartitions.size() : SIZE_MAX;
+  };
+
+  std::vector<unsigned> Counts;
+  for (unsigned K = 2; K != Capacity + 5; ++K)
+    Counts.push_back(K);
+  for (unsigned K = 2; K != 5; ++K) // Long evicted: rebuilt.
+    Counts.push_back(K);
+  for (unsigned K : Counts)
+    for (unsigned Lat : {1u, 5u}) {
+      PartitionRequest Req;
+      Req.Spec = Spec;
+      Req.Clusters = K;
+      Req.MoveLatency = Lat;
+      PartitionOutcome Out = Svc.partition(Req);
+      ASSERT_EQ(Out.S, Status::Ok) << Out.Body;
+      testjson::JVal Doc;
+      std::string Err;
+      ASSERT_TRUE(testjson::parse(Out.Body, Doc, Err)) << Err;
+
+      auto P = gen::generateProgram(GO);
+      PreparedProgram PP = prepareProgram(*P);
+      PipelineOptions PO;
+      PO.NumClusters = K;
+      PO.MoveLatency = Lat;
+      PipelineResult Want = runStrategy(PP, PO);
+      ASSERT_TRUE(Want.ok());
+      std::string Where = formatStr("%u clusters at latency %u", K, Lat);
+      EXPECT_EQ(Doc["cycles"].Num, static_cast<double>(Want.Cycles)) << Where;
+      EXPECT_EQ(Doc["dynamic_moves"].Num,
+                static_cast<double>(Want.DynamicMoves))
+          << Where;
+      EXPECT_EQ(Doc["static_moves"].Num,
+                static_cast<double>(Want.StaticMoves))
+          << Where;
+      EXPECT_LE(Slots(), Capacity) << Where;
+    }
+  EXPECT_EQ(Slots(), Capacity);
 }
 
 TEST(ServeServer, BadStrategyRejected) {

@@ -320,18 +320,21 @@ loadPrepared(const std::string &Spec, bool CaptureTrace = false) {
       });
 }
 
-/// Parses "MIN:MAX" into two unsigned 64-bit bounds.
+/// Parses "MIN:MAX" into two unsigned 64-bit bounds, 0 < MIN <= MAX.
 bool parseRange(const std::string &V, uint64_t &Lo, uint64_t &Hi) {
   size_t Colon = V.find(':');
-  if (Colon == std::string::npos || Colon == 0 || Colon + 1 == V.size())
+  return Colon != std::string::npos &&
+         parseUnsigned(V.substr(0, Colon), Lo) &&
+         parseUnsigned(V.substr(Colon + 1), Hi) && Lo != 0 && Lo <= Hi;
+}
+
+/// Parses \p V as an unsigned 32-bit count (0 included).
+bool parseCount(const std::string &V, unsigned &Out) {
+  uint64_t N;
+  if (!parseUnsigned(V, N) || N > UINT_MAX)
     return false;
-  std::string A = V.substr(0, Colon), B = V.substr(Colon + 1);
-  if (A.find_first_not_of("0123456789") != std::string::npos ||
-      B.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  Lo = std::strtoull(A.c_str(), nullptr, 10);
-  Hi = std::strtoull(B.c_str(), nullptr, 10);
-  return Lo != 0 && Lo <= Hi;
+  Out = static_cast<unsigned>(N);
+  return true;
 }
 
 /// `gdptool gen`: emits one generated program as parseable IR text —
@@ -344,13 +347,12 @@ int cmdGen(int argc, char **argv) {
     bool Ok = true;
     uint64_t Lo = 0, Hi = 0;
     if (Arg.rfind("--seed=", 0) == 0)
-      GO.Seed = std::strtoull(Arg.c_str() + 7, nullptr, 10);
-    else if (Arg.rfind("--ops=", 0) == 0) {
-      unsigned long Ops = std::strtoul(Arg.c_str() + 6, nullptr, 10);
-      Ok = Ops > 0 && Ops <= 2000000;
-      GO.TargetOps = static_cast<unsigned>(Ops);
-    } else if (Arg.rfind("--objects=", 0) == 0) {
-      Ok = parseRange(Arg.substr(10), Lo, Hi);
+      Ok = parseUnsigned(Arg.substr(7), GO.Seed);
+    else if (Arg.rfind("--ops=", 0) == 0)
+      Ok = parsePositive(Arg.substr(6), GO.TargetOps) &&
+           GO.TargetOps <= 2000000;
+    else if (Arg.rfind("--objects=", 0) == 0) {
+      Ok = parseRange(Arg.substr(10), Lo, Hi) && Hi <= UINT_MAX;
       GO.MinObjects = static_cast<unsigned>(Lo);
       GO.MaxObjects = static_cast<unsigned>(Hi);
     } else if (Arg.rfind("--elems=", 0) == 0) {
@@ -358,25 +360,25 @@ int cmdGen(int argc, char **argv) {
       GO.MinElems = Lo;
       GO.MaxElems = Hi;
     } else if (Arg.rfind("--heap=", 0) == 0)
-      GO.HeapFraction = std::atof(Arg.c_str() + 7);
+      Ok = parseFraction(Arg.substr(7), GO.HeapFraction);
     else if (Arg.rfind("--skew=", 0) == 0)
-      GO.AccessSkew = std::atof(Arg.c_str() + 7);
+      Ok = parseFraction(Arg.substr(7), GO.AccessSkew);
     else if (Arg.rfind("--depth=", 0) == 0)
-      GO.MaxLoopDepth = static_cast<unsigned>(std::atoi(Arg.c_str() + 8));
+      Ok = parseCount(Arg.substr(8), GO.MaxLoopDepth);
     else if (Arg.rfind("--trip=", 0) == 0)
-      GO.MaxTrip = std::strtoull(Arg.c_str() + 7, nullptr, 10);
+      Ok = parseUnsigned(Arg.substr(7), GO.MaxTrip);
     else if (Arg.rfind("--helpers=", 0) == 0)
-      GO.MaxHelpers = static_cast<unsigned>(std::atoi(Arg.c_str() + 10));
+      Ok = parseCount(Arg.substr(10), GO.MaxHelpers);
     else if (Arg.rfind("--fanout=", 0) == 0)
-      GO.MaxCallFanout = static_cast<unsigned>(std::atoi(Arg.c_str() + 9));
+      Ok = parseCount(Arg.substr(9), GO.MaxCallFanout);
     else if (Arg.rfind("--float=", 0) == 0)
-      GO.FloatFraction = std::atof(Arg.c_str() + 8);
+      Ok = parseFraction(Arg.substr(8), GO.FloatFraction);
     else if (Arg.rfind("--branch=", 0) == 0)
-      GO.BranchFraction = std::atof(Arg.c_str() + 9);
+      Ok = parseFraction(Arg.substr(9), GO.BranchFraction);
     else if (Arg == "--noinit")
       GO.WithInit = false;
     else if (Arg.rfind("--dynlimit=", 0) == 0)
-      GO.DynOpLimit = std::strtoull(Arg.c_str() + 11, nullptr, 10);
+      Ok = parseUnsigned(Arg.substr(11), GO.DynOpLimit);
     else if (Arg.rfind("--out=", 0) == 0)
       OutPath = Arg.substr(6);
     else {
@@ -993,9 +995,13 @@ int cmdRequest(int argc, char **argv) {
     } else if (Arg.rfind("--clusters=", 0) == 0) {
       if (!parseFlagValue(Arg, UINT_MAX, Req.Clusters))
         return 1;
-    } else if (Arg.rfind("--deadline-ms=", 0) == 0)
-      Req.DeadlineMs = std::strtoull(Arg.c_str() + 14, nullptr, 10);
-    else if (Arg.rfind("--timeout-ms=", 0) == 0) {
+    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
+      if (!parseUnsigned(Arg.substr(14), Req.DeadlineMs)) {
+        std::fprintf(stderr, "error: --deadline-ms needs a non-negative "
+                             "integer\n");
+        return 1;
+      }
+    } else if (Arg.rfind("--timeout-ms=", 0) == 0) {
       if (!parseFlagValue(Arg, INT_MAX, TimeoutMs))
         return 1;
     } else if (Arg.rfind("--", 0) == 0) {
