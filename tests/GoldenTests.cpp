@@ -1,7 +1,8 @@
 //===- tests/GoldenTests.cpp - Golden-output regression tests ----------------===//
 //
 // Small-configuration runs of the fig2 / fig7 / fig9 / fig10 experiment
-// pipelines, compared byte-for-byte against checked-in golden JSON under
+// pipelines, and GDP's first pass on the suite under every merge policy,
+// compared byte-for-byte against checked-in golden JSON under
 // tests/golden/. Every field in these files is deterministic (wall-clock
 // fields are written in deterministic mode, i.e. zeroed), so any diff is a
 // real behaviour change in the partitioners, the scheduler or the record
@@ -16,6 +17,7 @@
 
 #include "bench/BenchCommon.h"
 #include "partition/Exhaustive.h"
+#include "partition/GlobalDataPartitioner.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -146,6 +148,56 @@ TEST(Golden, Fig9Exhaustive) {
   }
   ASSERT_EQ(Records.size(), 2u);
   checkGolden("fig9.json", renderGolden("gdp-golden-fig9-v1", Records));
+}
+
+TEST(Golden, MergePolicies) {
+  // GDP's first pass on every suite kernel under every merge policy, at 2
+  // and 4 clusters. None and AccessPatternAndDependence are the only paths
+  // that put op-to-object access edges and dependence merges into the
+  // group graph. The options are the ones runStrategy passes for the
+  // paper's machine: its cluster memory as the capacity, and no capacity
+  // shares because every cluster has the same memory units.
+  const std::pair<MergePolicy, const char *> Policies[] = {
+      {MergePolicy::AccessPattern, "access_pattern"},
+      {MergePolicy::AccessPatternAndDependence, "access_pattern_dependence"},
+      {MergePolicy::None, "none"}};
+  bench::setThreads(1);
+  std::vector<std::string> Records;
+  for (const bench::SuiteEntry &E : bench::loadSuite())
+    for (unsigned Clusters : {2u, 4u}) {
+      PipelineOptions PO;
+      PO.NumClusters = Clusters;
+      MachineModel MM = machineFor(PO);
+      for (unsigned C = 1; C != Clusters; ++C)
+        ASSERT_EQ(MM.getFUCount(C, FUKind::Memory),
+                  MM.getFUCount(0, FUKind::Memory));
+      GDPOptions Opt;
+      Opt.MemCapacityBytes = MM.getClusterMemoryBytes();
+      for (const auto &[Policy, Name] : Policies) {
+        Opt.Policy = Policy;
+        GDPResult R = runGlobalDataPartitioning(*E.PP.Analyses, E.PP.Prof,
+                                                Clusters, Opt);
+        std::string Rec = "{\"benchmark\": \"" + E.Name +
+                          "\", \"policy\": \"" + Name +
+                          "\", \"clusters\": " + std::to_string(Clusters) +
+                          ", \"cut_weight\": " +
+                          std::to_string(R.CutWeight) +
+                          ", \"groups\": " + std::to_string(R.NumGroups) +
+                          ", \"feasible\": " +
+                          (R.Feasible ? "true" : "false") +
+                          ", \"diags\": [";
+        for (size_t I = 0; I != R.Diags.size(); ++I)
+          Rec += (I ? ", " : "") + R.Diags[I].toJson();
+        Rec += "], \"homes\": [";
+        for (unsigned Obj = 0; Obj != R.Placement.getNumObjects(); ++Obj)
+          Rec += (Obj ? ", " : "") +
+                 std::to_string(R.Placement.getHome(Obj));
+        Records.push_back(Rec + "]}");
+      }
+    }
+  ASSERT_EQ(Records.size(), 16u * 2 * 3);
+  checkGolden("merge_policies.json",
+              renderGolden("gdp-golden-merge-policies-v1", Records));
 }
 
 } // namespace
