@@ -39,7 +39,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 using namespace gdp;
@@ -636,25 +635,17 @@ bool parseGenSpec(const std::string &Spec, GenOptions &Out) {
   if (Spec.rfind("gen:", 0) != 0)
     return false;
   std::string Rest = Spec.substr(4);
-  if (Rest.empty())
-    return false;
   size_t Colon = Rest.find(':');
-  std::string SeedStr = Rest.substr(0, Colon);
-  if (SeedStr.empty() ||
-      SeedStr.find_first_not_of("0123456789") != std::string::npos)
+  uint64_t Seed = 0, Ops = GenOptions().TargetOps;
+  if (!parseUnsigned(Rest.substr(0, Colon), Seed))
+    return false;
+  if (Colon != std::string::npos &&
+      (!parseUnsigned(Rest.substr(Colon + 1), Ops) || Ops == 0 ||
+       Ops > 2000000))
     return false;
   Out = GenOptions();
-  Out.Seed = std::strtoull(SeedStr.c_str(), nullptr, 10);
-  if (Colon != std::string::npos) {
-    std::string OpsStr = Rest.substr(Colon + 1);
-    if (OpsStr.empty() ||
-        OpsStr.find_first_not_of("0123456789") != std::string::npos)
-      return false;
-    unsigned long Ops = std::strtoul(OpsStr.c_str(), nullptr, 10);
-    if (Ops == 0 || Ops > 2000000)
-      return false;
-    Out.TargetOps = static_cast<unsigned>(Ops);
-  }
+  Out.Seed = Seed;
+  Out.TargetOps = static_cast<unsigned>(Ops);
   return true;
 }
 

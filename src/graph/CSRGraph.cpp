@@ -2,106 +2,87 @@
 
 #include "graph/CSRGraph.h"
 
-#include "graph/PartitionGraph.h"
-
 #include <algorithm>
+#include <cassert>
 
 using namespace gdp;
 
-CSRGraph::CSRGraph(const PartitionGraph &G, support::Arena *A)
-    : Off(A), Nbr(A), EdgeW(A), NodeW(A) {
-  NumNodes = G.getNumNodes();
-  NumC = G.getNumConstraints();
-
-  NodeW.resize(static_cast<size_t>(NumNodes) * NumC);
+CSRGraph::CSRGraph(unsigned NumConstraints,
+                   const std::vector<uint64_t> &NodeWeights,
+                   const std::vector<Edge> &Edges, support::Arena *A)
+    : NumC(NumConstraints), Off(A), Nbr(A), EdgeW(A), NodeW(A) {
+  assert(NumC >= 1 && NodeWeights.size() % NumC == 0 &&
+         "node weights must hold NumConstraints entries per node");
+  NumNodes = static_cast<unsigned>(NodeWeights.size() / NumC);
+  NodeW.assign(NodeWeights.begin(), NodeWeights.end());
   Totals.assign(NumC, 0);
-  for (unsigned N = 0; N != NumNodes; ++N) {
-    const auto &W = G.getNodeWeights(N);
-    for (unsigned C = 0; C != NumC; ++C) {
-      NodeW[static_cast<size_t>(N) * NumC + C] = W[C];
-      Totals[C] += W[C];
-    }
-  }
+  for (size_t I = 0; I != NodeWeights.size(); ++I)
+    Totals[I % NumC] += NodeWeights[I];
 
-  Off.resize(NumNodes + 1);
-  size_t NumSlots = 0;
-  for (unsigned N = 0; N != NumNodes; ++N) {
-    Off[N] = static_cast<uint32_t>(NumSlots);
-    NumSlots += G.neighbors(N).size();
+  SlotList Slots(A);
+  Slots.reserve(2 * Edges.size());
+  for (const Edge &E : Edges) {
+    assert(E.A < NumNodes && E.B < NumNodes && "edge endpoint missing");
+    if (E.A == E.B || E.W == 0)
+      continue;
+    Slots.push_back({(uint64_t(E.A) << 32) | E.B, E.W});
+    Slots.push_back({(uint64_t(E.B) << 32) | E.A, E.W});
   }
-  Off[NumNodes] = static_cast<uint32_t>(NumSlots);
-
-  Nbr.resize(NumSlots);
-  EdgeW.resize(NumSlots);
-  size_t Slot = 0;
-  for (unsigned N = 0; N != NumNodes; ++N)
-    for (const auto &[M, W] : G.neighbors(N)) { // ascending neighbor ids
-      Nbr[Slot] = M;
-      EdgeW[Slot] = W;
-      if (M > N)
-        TotalEdgeW += W;
-      ++Slot;
-    }
+  buildRows(Slots);
 }
 
 CSRGraph::CSRGraph(const CSRGraph &Fine,
                    const std::vector<unsigned> &FineToCoarse,
                    unsigned NumCoarse, support::Arena *A)
-    : Off(A), Nbr(A), EdgeW(A), NodeW(A) {
-  NumNodes = NumCoarse;
-  NumC = Fine.NumC;
-
+    : NumNodes(NumCoarse), NumC(Fine.NumC), Off(A), Nbr(A), EdgeW(A),
+      NodeW(A), Totals(Fine.Totals) {
   // Coarse node weights: accumulate members (fine ids ascending).
   NodeW.assign(static_cast<size_t>(NumCoarse) * NumC, 0);
-  Totals.assign(NumC, 0);
   for (unsigned N = 0; N != Fine.NumNodes; ++N) {
     size_t Row = static_cast<size_t>(FineToCoarse[N]) * NumC;
-    for (unsigned C = 0; C != NumC; ++C) {
-      uint64_t W = Fine.nodeWeight(N, C);
-      NodeW[Row + C] += W;
-      Totals[C] += W;
-    }
+    for (unsigned C = 0; C != NumC; ++C)
+      NodeW[Row + C] += Fine.nodeWeight(N, C);
   }
 
-  // Coarse edges: every directed fine slot maps to a packed (coarse from,
-  // coarse to) key; sorting and merging duplicates yields each coarse row
-  // with ascending neighbor ids. Both directions of a fine undirected
-  // edge are present as slots, so both coarse directions accumulate the
-  // same total — exactly what PartitionGraph::addEdge would have built.
-  support::ArenaVector<std::pair<uint64_t, uint64_t>> Pairs(A);
-  Pairs.reserve(Fine.Nbr.size());
+  // Every directed fine slot maps to a (coarse from, coarse to) slot. Both
+  // directions of a fine undirected edge are present, so both coarse
+  // directions accumulate the same total.
+  SlotList Slots(A);
+  Slots.reserve(Fine.Nbr.size());
   for (unsigned N = 0; N != Fine.NumNodes; ++N) {
     uint64_t From = FineToCoarse[N];
     for (uint32_t E = Fine.Off[N], End = Fine.Off[N + 1]; E != End; ++E) {
       uint64_t To = FineToCoarse[Fine.Nbr[E]];
       if (From == To)
         continue; // Internal to one coarse node.
-      Pairs.push_back({(From << 32) | To, Fine.EdgeW[E]});
+      Slots.push_back({(From << 32) | To, Fine.EdgeW[E]});
     }
   }
-  std::sort(Pairs.begin(), Pairs.end(),
-            [](const auto &L, const auto &R) { return L.first < R.first; });
+  buildRows(Slots);
+}
 
-  Off.assign(NumCoarse + 1, 0);
-  Nbr.reserve(Pairs.size());
-  EdgeW.reserve(Pairs.size());
-  size_t I = 0;
-  for (unsigned N = 0; N != NumCoarse; ++N) {
-    Off[N] = static_cast<uint32_t>(Nbr.size());
-    while (I != Pairs.size() && (Pairs[I].first >> 32) == N) {
-      unsigned To = static_cast<unsigned>(Pairs[I].first & 0xffffffffu);
-      uint64_t W = Pairs[I].second;
-      for (++I; I != Pairs.size() && Pairs[I].first ==
-                                         ((uint64_t(N) << 32) | To);
-           ++I)
-        W += Pairs[I].second;
-      Nbr.push_back(To);
-      EdgeW.push_back(W);
-      if (To > N)
-        TotalEdgeW += W;
+void CSRGraph::buildRows(SlotList &Slots) {
+  std::sort(Slots.begin(), Slots.end(),
+            [](const auto &L, const auto &R) { return L.first < R.first; });
+  Off.assign(NumNodes + 1, 0);
+  Nbr.reserve(Slots.size());
+  EdgeW.reserve(Slots.size());
+  for (size_t I = 0; I != Slots.size(); ++I) {
+    auto [Key, W] = Slots[I];
+    auto From = static_cast<unsigned>(Key >> 32);
+    auto To = static_cast<unsigned>(Key & 0xffffffffu);
+    if (To > From)
+      TotalEdgeW += W;
+    if (I != 0 && Key == Slots[I - 1].first) {
+      EdgeW.back() += W; // Parallel edge.
+      continue;
     }
+    ++Off[From + 1];
+    Nbr.push_back(To);
+    EdgeW.push_back(W);
   }
-  Off[NumCoarse] = static_cast<uint32_t>(Nbr.size());
+  for (unsigned N = 0; N != NumNodes; ++N)
+    Off[N + 1] += Off[N];
 }
 
 uint64_t CSRGraph::edgeWeightBetween(unsigned A, unsigned B) const {

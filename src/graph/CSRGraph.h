@@ -5,20 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A compressed-sparse-row (CSR) view of a PartitionGraph, built once per
-/// coarsening level. PartitionGraph accumulates edges in sorted per-node
-/// lists — convenient while the graph is being constructed, but the
-/// refinement loops that sweep every adjacency list many times per level
-/// want one flat block. The CSR form packs neighbor ids and edge weights
-/// into flat arrays (neighbor ids ascending within each row, matching the
-/// edge lists' iteration order) and node weights into one row-major
-/// block, so gain recomputation walks contiguous memory. Totals and the
-/// aggregate edge weight are cached at build time.
+/// The weighted undirected graph the multilevel partitioner cuts, in
+/// compressed-sparse-row (CSR) form. Nodes carry a *vector* of weights
+/// (one entry per balance constraint — the multi-constraint capability of
+/// METIS the paper relies on: object bytes and operation counts are
+/// balanced simultaneously); edges carry a single weight (communication
+/// volume).
 ///
-/// Coarse levels are built directly from the finer CSR and a fine→coarse
-/// mapping (collect, sort, merge) — no intermediate PartitionGraph. All
-/// storage can live on a support::Arena, so a whole coarsening hierarchy
-/// costs zero system-allocator calls once the thread's arena is warm.
+/// Neighbor ids and edge weights live in flat arrays (neighbor ids
+/// ascending within each row) and node weights in one row-major block, so
+/// the refinement loops that sweep every adjacency list many times per
+/// level walk contiguous memory. Totals and the aggregate edge weight are
+/// cached at build time.
+///
+/// Every level comes out of one row builder (collect directed slots, sort,
+/// merge): the finest from a caller's node weights and edge list, each
+/// coarser one from the finer CSR and a fine→coarse mapping. All storage
+/// can live on a support::Arena, so a whole coarsening hierarchy costs zero
+/// system-allocator calls once the thread's arena is warm.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,22 +33,32 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace gdp {
 
-class PartitionGraph;
-
-/// Immutable cache-linear snapshot of a PartitionGraph.
+/// Immutable cache-linear weighted undirected graph.
 class CSRGraph {
 public:
-  /// Snapshot of \p G; storage on \p A when given (heap otherwise).
-  explicit CSRGraph(const PartitionGraph &G, support::Arena *A = nullptr);
+  /// One undirected edge {A, B} of weight W.
+  struct Edge {
+    unsigned A;
+    unsigned B;
+    uint64_t W;
+  };
+
+  /// The graph over NodeWeights.size() / NumConstraints nodes, with
+  /// \p NodeWeights row-major [node][constraint] and one undirected edge
+  /// per entry of \p Edges: parallel edges add up, self-edges and zero
+  /// weights vanish. Storage on \p A when given (heap otherwise).
+  CSRGraph(unsigned NumConstraints, const std::vector<uint64_t> &NodeWeights,
+           const std::vector<Edge> &Edges, support::Arena *A = nullptr);
 
   /// The coarse graph induced by \p FineToCoarse over \p Fine: coarse node
   /// weights accumulate their members' weights, parallel coarse edges
-  /// accumulate, self-edges vanish. Neighbor ids come out ascending per
-  /// row — identical to snapshotting a PartitionGraph built with addEdge.
+  /// accumulate, self-edges vanish — the graph the edge-list constructor
+  /// builds from the mapped fine edges.
   CSRGraph(const CSRGraph &Fine, const std::vector<unsigned> &FineToCoarse,
            unsigned NumCoarse, support::Arena *A = nullptr);
 
@@ -80,6 +94,14 @@ public:
   uint64_t cutWeight(const std::vector<unsigned> &Assignment) const;
 
 private:
+  /// Directed edge slots: ((from << 32) | to, weight).
+  using SlotList = support::ArenaVector<std::pair<uint64_t, uint64_t>>;
+
+  /// Fills the rows from \p Slots, which holds both directions of every
+  /// edge: sorts them by (from, to) and merges duplicates, so each row
+  /// comes out with ascending neighbor ids.
+  void buildRows(SlotList &Slots);
+
   unsigned NumNodes = 0;
   unsigned NumC = 1;
   support::ArenaVector<uint32_t> Off;  ///< NumNodes + 1 row offsets.

@@ -24,6 +24,8 @@ constexpr unsigned CoarsenTargetNodes = 48;
 constexpr unsigned MaxRefinePasses = 6;
 /// Independent initial partitions tried at the coarsest level.
 constexpr unsigned NumInitialTries = 4;
+/// Seed of the run's random choices (visit orders, matchings, GGGP seed).
+constexpr uint64_t RandomSeed = 1;
 
 /// Per-part, per-constraint capacity table.
 using CapacityTable = std::vector<std::vector<uint64_t>>;
@@ -83,7 +85,9 @@ struct Context {
   }
 
   /// Per-part, per-constraint capacities, never below the heaviest single
-  /// node so that a feasible assignment always exists.
+  /// node so that a feasible assignment always exists. A constraint whose
+  /// total is 0 gets capacity 0, which every node fits: each weighs 0
+  /// there.
   CapacityTable maxAllowed(const CSRGraph &G) const {
     const std::vector<uint64_t> &Totals = G.totalWeights();
     CapacityTable Result(Opt.NumParts,
@@ -93,10 +97,6 @@ struct Context {
       for (unsigned N = 0; N != G.getNumNodes(); ++N)
         Heaviest = std::max(Heaviest, G.nodeWeight(N, C));
       for (unsigned P = 0; P != Opt.NumParts; ++P) {
-        if (Totals[C] == 0) {
-          Result[P][C] = std::numeric_limits<uint64_t>::max();
-          continue;
-        }
         double Cap = (1.0 + tolerance(C)) *
                      static_cast<double>(Totals[C]) * shareOf(P);
         // A feasible assignment must always exist, so the capacity is
@@ -135,6 +135,16 @@ computePartWeights(const CSRGraph &G, const std::vector<unsigned> &Assign,
   std::vector<std::vector<uint64_t>> PW;
   computePartWeightsInto(G, Assign, NumParts, PW);
   return PW;
+}
+
+/// True when a part loaded \p Load stays within \p Cap on every
+/// constraint after taking a node of weights \p NW.
+bool fits(const std::vector<uint64_t> &Load, const uint64_t *NW,
+          const std::vector<uint64_t> &Cap) {
+  for (unsigned C = 0; C != Cap.size(); ++C)
+    if (Load[C] + NW[C] > Cap[C])
+      return false;
+  return true;
 }
 
 double normalizedLoad(const std::vector<std::vector<uint64_t>> &PW,
@@ -239,8 +249,7 @@ void repairBalance(const CSRGraph &G, std::vector<unsigned> &Assign,
     double WorstRatio = 1.0;
     for (unsigned P = 0; P != NumParts; ++P)
       for (unsigned C = 0; C != MaxAllowed[P].size(); ++C) {
-        if (MaxAllowed[P][C] == std::numeric_limits<uint64_t>::max() ||
-            PW[P][C] <= MaxAllowed[P][C])
+        if (PW[P][C] <= MaxAllowed[P][C])
           continue;
         double Ratio = static_cast<double>(PW[P][C]) /
                        static_cast<double>(MaxAllowed[P][C]);
@@ -333,16 +342,7 @@ unsigned refinePass(const CSRGraph &G, std::vector<unsigned> &Assign,
     int Best = -1;
     int64_t BestGain = std::numeric_limits<int64_t>::min();
     for (unsigned P = 0; P != NumParts; ++P) {
-      if (P == From)
-        continue;
-      bool Fits = true;
-      for (unsigned C = 0; C != NumC; ++C)
-        if (MaxAllowed[P][C] != std::numeric_limits<uint64_t>::max() &&
-            PW[P][C] + NW[C] > MaxAllowed[P][C]) {
-          Fits = false;
-          break;
-        }
-      if (!Fits)
+      if (P == From || !fits(PW[P], NW, MaxAllowed[P]))
         continue;
       int64_t Gain = Conn[P] - Conn[From];
       if (Gain > BestGain) {
@@ -492,10 +492,7 @@ unsigned swapPass(const CSRGraph &G, std::vector<unsigned> &Assign,
         // subtractions cannot underflow.
         uint64_t NewPB = PW[PB][C] - WB[C] + WA[C];
         uint64_t NewPA = PW[PA][C] - WA[C] + WB[C];
-        Fits = (MaxAllowed[PB][C] == std::numeric_limits<uint64_t>::max() ||
-                NewPB <= MaxAllowed[PB][C]) &&
-               (MaxAllowed[PA][C] == std::numeric_limits<uint64_t>::max() ||
-                NewPA <= MaxAllowed[PA][C]);
+        Fits = NewPB <= MaxAllowed[PB][C] && NewPA <= MaxAllowed[PA][C];
       }
       if (!Fits)
         continue;
@@ -565,13 +562,7 @@ std::vector<unsigned> initialAssign(const CSRGraph &G,
     int Best = -1;
     double BestScore = -1e300;
     for (unsigned P = 0; P != NumParts; ++P) {
-      bool Fits = true;
-      for (unsigned C = 0; C != NumC; ++C)
-        if (MaxAllowed[P][C] != std::numeric_limits<uint64_t>::max() &&
-            PW[P][C] + NW[C] > MaxAllowed[P][C]) {
-          Fits = false;
-          break;
-        }
+      bool Fits = fits(PW[P], NW, MaxAllowed[P]);
       // Score: connectivity first, then lower normalized load. Infeasible
       // parts are heavily penalized but not excluded (a fallback must
       // always exist).
@@ -614,14 +605,7 @@ std::vector<unsigned> gggpAssign(const CSRGraph &G,
   std::vector<unsigned> Assign(N, 0);
   std::vector<std::vector<uint64_t>> PW(2, std::vector<uint64_t>(NumC, 0));
   PW[0] = G.totalWeights();
-
-  auto Part0Fits = [&]() {
-    for (unsigned C = 0; C != MaxAllowed[0].size(); ++C)
-      if (MaxAllowed[0][C] != std::numeric_limits<uint64_t>::max() &&
-          PW[0][C] > MaxAllowed[0][C])
-        return false;
-    return true;
-  };
+  const std::vector<uint64_t> NoWeight(NumC, 0);
   auto MoveTo1 = [&](unsigned Node) {
     Assign[Node] = 1;
     const uint64_t *NW = G.nodeWeights(Node);
@@ -632,21 +616,14 @@ std::vector<unsigned> gggpAssign(const CSRGraph &G,
   };
 
   MoveTo1(SeedNode);
-  while (!Part0Fits()) {
+  while (!fits(PW[0], NoWeight.data(), MaxAllowed[0])) {
     int Best = -1;
     int64_t BestGain = std::numeric_limits<int64_t>::min();
     for (unsigned Node = 0; Node != N; ++Node) {
       if (Assign[Node] == 1)
         continue;
       // Part 1 must stay feasible.
-      bool Fits = true;
-      for (unsigned C = 0; C != MaxAllowed[1].size(); ++C)
-        if (MaxAllowed[1][C] != std::numeric_limits<uint64_t>::max() &&
-            PW[1][C] + G.nodeWeight(Node, C) > MaxAllowed[1][C]) {
-          Fits = false;
-          break;
-        }
-      if (!Fits)
+      if (!fits(PW[1], G.nodeWeights(Node), MaxAllowed[1]))
         continue;
       int64_t Gain = 0;
       for (uint32_t E = G.edgeBegin(Node), End = G.edgeEnd(Node); E != End;
@@ -669,15 +646,15 @@ std::vector<unsigned> gggpAssign(const CSRGraph &G,
 
 } // namespace
 
-GraphPartition gdp::partitionGraph(const PartitionGraph &G,
+GraphPartition gdp::partitionGraph(const CSRGraph &G,
                                    const GraphPartitionOptions &Opt) {
   assert(Opt.NumParts >= 1 && "need at least one part");
   Context Ctx{Opt};
-  Random RNG(Opt.Seed);
+  Random RNG(RandomSeed);
   RunStats RS;
 
-  // All transient state — CSR levels, refinement scratch, match tables —
-  // lives on the calling thread's scratch arena and is released (blocks
+  // All transient state — coarse levels, refinement scratch, match tables
+  // — lives on the calling thread's scratch arena and is released (blocks
   // kept warm) when this call returns. Only the result escapes, on the
   // heap.
   support::ScratchArena Scope;
@@ -691,37 +668,37 @@ GraphPartition gdp::partitionGraph(const PartitionGraph &G,
     return Result;
   }
 
-  // --- Graph layer: one cache-linear CSR snapshot per level; the
-  // edge-list PartitionGraph is only the construction-time accumulator.
-  std::vector<CSRGraph> Levels;
-  Levels.emplace_back(G, A);
-
   if (Opt.NumParts == 1) {
     Result.Assignment.assign(G.getNumNodes(), 0);
-    Result.PartWeights = computePartWeights(Levels[0], Result.Assignment, 1);
+    Result.PartWeights = computePartWeights(G, Result.Assignment, 1);
     return Result;
   }
 
-  // --- Coarsening phase.
+  // --- Coarsening phase. Level 0 is G; Coarse[i] is level i + 1.
+  std::vector<CSRGraph> Coarse;
+  auto level = [&](size_t I) -> const CSRGraph & {
+    return I ? Coarse[I - 1] : G;
+  };
   std::vector<std::vector<unsigned>> Mappings; // Mappings[i]: level i -> i+1
-  while (Levels.back().getNumNodes() > CoarsenTargetNodes) {
+  while (level(Coarse.size()).getNumNodes() > CoarsenTargetNodes) {
+    const CSRGraph &Fine = level(Coarse.size());
     std::vector<unsigned> FineToCoarse;
-    unsigned NumCoarse = coarsenMatch(Levels.back(), RNG, FineToCoarse, RC);
+    unsigned NumCoarse = coarsenMatch(Fine, RNG, FineToCoarse, RC);
     // Stop if matching stalls (under 5% reduction) — decided before any
     // coarse graph is materialized.
-    if (NumCoarse * 20 > Levels.back().getNumNodes() * 19)
+    if (NumCoarse * 20 > Fine.getNumNodes() * 19)
       break;
-    // Built as a named temporary: an emplace_back reading Levels.back()
-    // while the vector may reallocate would be UB.
-    CSRGraph Coarse(Levels.back(), FineToCoarse, NumCoarse, A);
+    // Built as a named temporary: an emplace_back reading Fine while the
+    // vector may reallocate would be UB.
+    CSRGraph Next(Fine, FineToCoarse, NumCoarse, A);
     Mappings.push_back(std::move(FineToCoarse));
-    Levels.push_back(std::move(Coarse));
+    Coarse.push_back(std::move(Next));
   }
 
   // --- Initial partition at the coarsest level: best of several random
   // greedy tries plus (for bisection) greedy graph growing from the
   // heaviest seeds.
-  const CSRGraph &Coarsest = Levels.back();
+  const CSRGraph &Coarsest = level(Coarse.size());
   std::vector<unsigned> Best;
   uint64_t BestCut = 0;
   double BestLoad = 0;
@@ -769,22 +746,21 @@ GraphPartition gdp::partitionGraph(const PartitionGraph &G,
     for (unsigned N = 0; N != FineToCoarse.size(); ++N)
       FineAssign[N] = Assign[FineToCoarse[N]];
     Assign = std::move(FineAssign);
-    refine(Levels[Level], Assign, Opt, Ctx, RC, RNG, RS);
+    refine(level(Level), Assign, Opt, Ctx, RC, RNG, RS);
     // Cut-weight trajectory across uncoarsening (costs a graph sweep, so
     // only computed when someone is watching).
     if (Observed)
       telemetry::value("partitioner.cut_trajectory",
-                       static_cast<double>(Levels[Level].cutWeight(Assign)));
+                       static_cast<double>(level(Level).cutWeight(Assign)));
   }
 
   Result.Assignment = std::move(Assign);
-  Result.CutWeight = Levels[0].cutWeight(Result.Assignment);
-  Result.PartWeights =
-      computePartWeights(Levels[0], Result.Assignment, Opt.NumParts);
+  Result.CutWeight = G.cutWeight(Result.Assignment);
+  Result.PartWeights = computePartWeights(G, Result.Assignment, Opt.NumParts);
 
   if (Observed) {
     telemetry::counter("partitioner.runs");
-    telemetry::counter("partitioner.coarsen_levels", Levels.size() - 1);
+    telemetry::counter("partitioner.coarsen_levels", Coarse.size());
     telemetry::counter("partitioner.refine_passes", RS.RefinePasses);
     telemetry::counter("partitioner.refine_moves", RS.RefineMoves);
     telemetry::counter("partitioner.swap_moves", RS.SwapMoves);

@@ -20,7 +20,10 @@
 #ifndef GDP_GRAPH_MULTILEVELPARTITIONER_H
 #define GDP_GRAPH_MULTILEVELPARTITIONER_H
 
-#include "graph/PartitionGraph.h"
+#include "graph/CSRGraph.h"
+
+#include <cstdint>
+#include <vector>
 
 namespace gdp {
 
@@ -32,8 +35,6 @@ struct GraphPartitionOptions {
   /// (1 + Tolerance[c]) * total[c] / NumParts. Constraints beyond the
   /// vector's size allow 0.15.
   std::vector<double> Tolerances;
-  /// RNG seed; the whole run is deterministic given the seed.
-  uint64_t Seed = 1;
   /// Optional relative capacity per part (e.g. {2, 1, 1, 1} gives part 0
   /// twice the capacity of the others). Empty = uniform. Entries beyond
   /// the vector default to 1.
@@ -47,8 +48,10 @@ struct GraphPartition {
   std::vector<std::vector<uint64_t>> PartWeights; ///< [part][constraint]
 };
 
-/// Partitions \p G into Opt.NumParts parts.
-GraphPartition partitionGraph(const PartitionGraph &G,
+/// Partitions \p G into Opt.NumParts parts. \p G is the finest level;
+/// the coarser levels are built on the calling thread's scratch arena.
+/// The run is deterministic: its random choices come from one fixed seed.
+GraphPartition partitionGraph(const CSRGraph &G,
                               const GraphPartitionOptions &Opt);
 
 } // namespace gdp

@@ -25,27 +25,24 @@ GDPResult gdp::runGlobalDataPartitioning(const ProgramAnalyses &PA,
   ProgramGraph PG(PA, Prof);
   AccessMerge Merge(PG, P, Opt.Policy);
 
-  // --- One partition-graph node per merged group; weights are
-  // ⟨data bytes, operation count⟩.
-  PartitionGraph G(/*NumConstraints=*/2);
+  // --- One partition-graph node per merged group; its weights are
+  // ⟨data bytes, operation count⟩, row-major in Weights.
+  std::vector<uint64_t> Weights(2 * size_t{Merge.getNumGroups()});
   for (unsigned Grp = 0; Grp != Merge.getNumGroups(); ++Grp) {
-    uint64_t Bytes = 0;
     for (int Obj : Merge.objectsOfGroup(Grp))
-      Bytes += P.getObject(static_cast<unsigned>(Obj)).getSizeBytes();
-    uint64_t OpCount = 0;
+      Weights[2 * Grp] +=
+          P.getObject(static_cast<unsigned>(Obj)).getSizeBytes();
     for (unsigned Node : Merge.nodesOfGroup(Grp))
       if (PG.getOp(Node))
-        ++OpCount;
-    G.addNode({Bytes, OpCount});
+        ++Weights[2 * Grp + 1];
   }
 
-  // --- Register-flow edges between groups.
-  for (const auto &E : PG.edges()) {
-    unsigned A = Merge.groupOfNode(E.A);
-    unsigned B = Merge.groupOfNode(E.B);
-    if (A != B)
-      G.addEdge(A, B, E.W);
-  }
+  // --- Register-flow edges between groups (the graph drops the ones
+  // inside a group).
+  std::vector<CSRGraph::Edge> Edges;
+  Edges.reserve(PG.edges().size());
+  for (const auto &E : PG.edges())
+    Edges.push_back({Merge.groupOfNode(E.A), Merge.groupOfNode(E.B), E.W});
 
   // --- Access edges between memory operations and the objects they touch,
   // weighted by dynamic access counts. Intra-group under the access-pattern
@@ -61,8 +58,8 @@ GDPResult gdp::runGlobalDataPartitioning(const ProgramAnalyses &PA,
       unsigned B = Merge.groupOfObject(static_cast<unsigned>(Obj));
       if (A == B)
         continue;
-      uint64_t W = std::max<uint64_t>(1, Prof.getAccessCount(F, OpId, Obj));
-      G.addEdge(A, B, W);
+      Edges.push_back(
+          {A, B, std::max<uint64_t>(1, Prof.getAccessCount(F, OpId, Obj))});
     }
   }
 
@@ -95,6 +92,7 @@ GDPResult gdp::runGlobalDataPartitioning(const ProgramAnalyses &PA,
   GOpt.NumParts = NumClusters;
   GOpt.Tolerances = {MemTol, OpBalanceTolerance};
   GOpt.PartCapacityShares = Opt.ClusterCapacityShares;
+  CSRGraph G(/*NumConstraints=*/2, Weights, Edges);
   GraphPartition Part = partitionGraph(G, GOpt);
 
   GDPResult Result;

@@ -374,22 +374,14 @@ PipelineResult runNaiveStrategy(const PreparedProgram &PP,
     R.Placement.setHome(Obj, static_cast<int>(Best));
   }
 
-  // Reassign memory operations to the home of their data; the scheduler
-  // materializes the transfer moves this forces.
-  for (unsigned F = 0; F != P.getNumFunctions(); ++F) {
-    const Function &Fn = P.getFunction(F);
-    for (const auto &BB : Fn.blocks())
-      for (const auto &Op : BB->operations()) {
-        int Home = -1;
-        if (Op->isMemoryAccess())
-          Home = R.Placement.homeOfOp(*Op, F, PP.Prof);
-        else if (Op->getOpcode() == Opcode::Malloc)
-          Home = R.Placement.getHome(
-              static_cast<unsigned>(Op->getMallocSite()));
-        if (Home >= 0)
-          R.Assignment.set(F, static_cast<unsigned>(Op->getId()), Home);
-      }
-  }
+  // Reassign memory operations to the home of their data, the cluster
+  // GDP's second pass would lock them to; the scheduler materializes the
+  // transfer moves this forces.
+  LockMap Locks = buildLockMap(P, R.Placement, PP.Prof);
+  for (unsigned F = 0; F != Locks.size(); ++F)
+    for (unsigned Id = 0; Id != Locks[F].size(); ++Id)
+      if (Locks[F][Id] >= 0)
+        R.Assignment.set(F, Id, Locks[F][Id]);
   PlacementSpan.stop();
   return R;
 }
@@ -431,6 +423,17 @@ PipelineResult gdp::runStrategy(const PreparedProgram &PP,
     return R;
   }
 
+  unsigned Clusters =
+      Opt.Machine ? Opt.Machine->getNumClusters() : Opt.NumClusters;
+  if (Clusters == 0 || Clusters > MaxClusters) {
+    R.Failed = true;
+    R.Diags.push_back(
+        support::errorDiag(support::StatusCode::InputError, "pipeline",
+                           formatStr("cluster count must be between 1 and %u",
+                                     MaxClusters))
+            .with("clusters", static_cast<uint64_t>(Clusters)));
+    return R;
+  }
   MachineModel MM = machineFor(Opt);
   if (MM.getMoveLatency() == 0 || MM.getMoveLatency() > MaxMoveLatency) {
     R.Failed = true;

@@ -80,10 +80,16 @@ constexpr double ProfileMaxBalanceTolerance = 0.125;
 /// request can make the schedules' cycle tables grow without bound.
 constexpr unsigned MaxMoveLatency = 1000;
 
+/// The largest cluster count an evaluation accepts. The partitioners' cost
+/// grows roughly with the square of the count; runStrategy fails with an
+/// InputError for a machine with 0 clusters or more than this, as gdpd's
+/// request decoder and gdptool's --clusters do.
+constexpr unsigned MaxClusters = 64;
+
 /// Options controlling one pipeline evaluation.
 struct PipelineOptions {
   StrategyKind Strategy = StrategyKind::GDP;
-  unsigned NumClusters = 2;
+  unsigned NumClusters = 2; ///< 1..MaxClusters.
   unsigned MoveLatency = 5; ///< Paper default (§4.1); 1..MaxMoveLatency.
   GDPOptions DataOpt;
   /// Optional fully custom machine (overrides NumClusters/MoveLatency).
@@ -173,9 +179,10 @@ struct PipelineResult {
 };
 
 /// Evaluates one strategy on a prepared program. Total: never throws or
-/// asserts on bad input — an unprepared program, a move latency outside
-/// [1, MaxMoveLatency] or an exhausted degradation chain comes back as a
-/// Failed result carrying diagnostics.
+/// asserts on bad input — an unprepared program, a cluster count outside
+/// [1, MaxClusters], a move latency outside [1, MaxMoveLatency] or an
+/// exhausted degradation chain comes back as a Failed result carrying
+/// diagnostics.
 PipelineResult runStrategy(const PreparedProgram &PP,
                            const PipelineOptions &Opt);
 

@@ -2,6 +2,7 @@
 
 #include "serve/Wire.h"
 
+#include "partition/Pipeline.h"
 #include "support/StrUtil.h"
 
 #include <cstring>
@@ -245,9 +246,10 @@ bool PartitionRequest::decode(const std::string &Payload,
                   "empty spec in partition request");
     return false;
   }
-  if (Out.Clusters < 1 || Out.Clusters > 64) {
+  if (Out.Clusters < 1 || Out.Clusters > MaxClusters) {
     D = errorDiag(StatusCode::InputError, "serve.request",
-                  "cluster count out of range [1, 64]")
+                  formatStr("cluster count out of range [1, %u]",
+                            MaxClusters))
             .with("clusters", static_cast<int64_t>(Out.Clusters));
     return false;
   }

@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <vector>
 
 namespace gdp {
 
@@ -43,27 +42,6 @@ private:
   bool AnyNonPositive = false;
   double Min = 0;
   double Max = 0;
-};
-
-/// Fixed-bucket histogram over [Lo, Hi) used by the exhaustive-search bench
-/// to characterize the distribution of partition qualities.
-class Histogram {
-public:
-  Histogram(double Lo, double Hi, unsigned NumBuckets);
-
-  /// Adds a sample; out-of-range samples clamp to the first/last bucket.
-  void add(double X);
-
-  unsigned numBuckets() const { return static_cast<unsigned>(Buckets.size()); }
-  uint64_t bucketCount(unsigned I) const { return Buckets[I]; }
-  /// Inclusive lower edge of bucket \p I.
-  double bucketLo(unsigned I) const;
-  uint64_t totalCount() const { return Total; }
-
-private:
-  double Lo, Hi;
-  std::vector<uint64_t> Buckets;
-  uint64_t Total = 0;
 };
 
 namespace telemetry {

@@ -9,9 +9,9 @@
 /// (bench records, stats files) and for test assertions: parses a complete
 /// document into a tree of JVal nodes or reports the first syntax error.
 /// Numbers are kept as doubles; `\uXXXX` escapes decode only below 0x80,
-/// which covers every one escape() writes. Originally tests/TestJson.h;
-/// promoted here so `bench_diff` and `gdptool report` can consume
-/// benchmark records without a JSON dependency.
+/// which covers every one escape() writes. `bench_diff` and `gdptool
+/// report` consume benchmark records through it, so they need no JSON
+/// dependency.
 ///
 /// escape() is the one JSON string escaper every exporter uses (stats,
 /// traces, diagnostics, serve bodies, bench records), so whatever they

@@ -4,14 +4,13 @@
 // types included), block growth and warm reuse, mark/release stack
 // discipline, the ArenaAllocator heap fallback, per-thread scratch
 // isolation under a worker pool — plus the SoA-vs-map equivalence of the
-// flat structures that replaced map-keyed state (PartitionGraph adjacency,
-// ProfileData access lists, the CSR coarse-graph constructor) and the
+// flat structures that replaced map-keyed state (the partition graph's
+// edge-list and coarse constructors, ProfileData access lists) and the
 // thread-affinity toggle parsing the tools share.
 //
 //===----------------------------------------------------------------------===//
 
 #include "graph/CSRGraph.h"
-#include "graph/PartitionGraph.h"
 #include "ir/Program.h"
 #include "profile/ProfileData.h"
 #include "support/Arena.h"
@@ -242,34 +241,32 @@ TEST(ScratchArenaTest, PerThreadIsolationUnderParallelMap) {
 // --- SoA-vs-map equivalence ---------------------------------------------------
 
 TEST(SoAEquivalence, PartitionGraphAdjacencyMatchesMapSemantics) {
-  // The flat sorted EdgeList must accumulate and iterate exactly like the
-  // std::map<unsigned, uint64_t> it replaced, under random insertions.
+  // The edge-list constructor must accumulate and iterate exactly like a
+  // std::map<unsigned, uint64_t> adjacency under random insertions.
   Random RNG(1234);
-  PartitionGraph G(1);
-  for (int I = 0; I != 64; ++I)
-    G.addNode({1});
+  std::vector<CSRGraph::Edge> Edges;
   std::vector<std::map<unsigned, uint64_t>> Ref(64);
   for (int I = 0; I != 2000; ++I) {
     unsigned A = static_cast<unsigned>(RNG.nextBelow(64));
     unsigned B = static_cast<unsigned>(RNG.nextBelow(64));
     uint64_t W = RNG.nextBelow(3); // Include zero-weight (ignored) edges.
-    G.addEdge(A, B, W);
+    Edges.push_back({A, B, W});
     if (A != B && W != 0) {
       Ref[A][B] += W;
       Ref[B][A] += W;
     }
   }
+  CSRGraph G(1, std::vector<uint64_t>(64, 1), Edges);
   uint64_t RefTotal = 0;
   for (unsigned N = 0; N != 64; ++N) {
-    const PartitionGraph::EdgeList &Flat = G.neighbors(N);
-    ASSERT_EQ(Flat.size(), Ref[N].size()) << "node " << N;
-    size_t I = 0;
+    ASSERT_EQ(G.degree(N), Ref[N].size()) << "node " << N;
+    uint32_t Slot = G.edgeBegin(N);
     for (const auto &[Nbr, W] : Ref[N]) { // Map order == ascending ids.
-      EXPECT_EQ(Flat[I].first, Nbr) << "node " << N << " slot " << I;
-      EXPECT_EQ(Flat[I].second, W) << "node " << N << " slot " << I;
-      EXPECT_EQ(G.edgeWeight(N, Nbr), W);
+      EXPECT_EQ(G.edgeTarget(Slot), Nbr) << "node " << N << " slot " << Slot;
+      EXPECT_EQ(G.edgeWeight(Slot), W) << "node " << N << " slot " << Slot;
+      EXPECT_EQ(G.edgeWeightBetween(N, Nbr), W);
       RefTotal += W;
-      ++I;
+      ++Slot;
     }
   }
   EXPECT_EQ(G.totalEdgeWeight(), RefTotal / 2);
@@ -301,50 +298,63 @@ TEST(SoAEquivalence, ProfileAccessListsMatchMapSemantics) {
 }
 
 TEST(SoAEquivalence, CSRCoarseningMatchesRebuiltPartitionGraph) {
-  // The direct CSR coarse constructor must produce exactly the graph the
-  // old path built by re-accumulating crossing edges into a fresh
-  // PartitionGraph and snapshotting it.
+  // The coarse constructor must produce exactly the graph the edge-list
+  // constructor builds from the fine edges mapped onto coarse nodes, and
+  // both must match the std::map adjacency of the crossing edges.
   Random RNG(99);
-  PartitionGraph Fine(2);
   const unsigned N = 40, Coarse = 13;
-  for (unsigned I = 0; I != N; ++I)
-    Fine.addNode({1 + RNG.nextBelow(9), RNG.nextBelow(4)});
-  for (unsigned I = 0; I != 3 * N; ++I)
-    Fine.addEdge(static_cast<unsigned>(RNG.nextBelow(N)),
-                 static_cast<unsigned>(RNG.nextBelow(N)),
-                 RNG.nextBelow(20));
+  std::vector<uint64_t> FineW;
+  for (unsigned I = 0; I != N; ++I) {
+    uint64_t Bytes = 1 + RNG.nextBelow(9);
+    FineW.insert(FineW.end(), {Bytes, RNG.nextBelow(4)});
+  }
+  std::vector<CSRGraph::Edge> FineEdges;
+  for (unsigned I = 0; I != 3 * N; ++I) {
+    unsigned A = static_cast<unsigned>(RNG.nextBelow(N));
+    unsigned B = static_cast<unsigned>(RNG.nextBelow(N));
+    FineEdges.push_back({A, B, RNG.nextBelow(20)});
+  }
   std::vector<unsigned> FineToCoarse(N);
   for (unsigned I = 0; I != N; ++I)
     FineToCoarse[I] = static_cast<unsigned>(RNG.nextBelow(Coarse));
 
-  CSRGraph FineCSR(Fine);
-  CSRGraph Got(FineCSR, FineToCoarse, Coarse);
+  CSRGraph Fine(2, FineW, FineEdges);
+  CSRGraph Got(Fine, FineToCoarse, Coarse);
 
-  PartitionGraph Rebuilt(2);
-  std::vector<std::vector<uint64_t>> CW(Coarse,
-                                        std::vector<uint64_t>(2, 0));
+  std::vector<uint64_t> CoarseW(2 * Coarse, 0);
   for (unsigned I = 0; I != N; ++I)
     for (unsigned C = 0; C != 2; ++C)
-      CW[FineToCoarse[I]][C] += Fine.getNodeWeights(I)[C];
-  for (unsigned G = 0; G != Coarse; ++G)
-    Rebuilt.addNode(CW[G]);
-  for (unsigned I = 0; I != N; ++I)
-    for (const auto &[Nbr, W] : Fine.neighbors(I))
-      if (I < Nbr && FineToCoarse[I] != FineToCoarse[Nbr])
-        Rebuilt.addEdge(FineToCoarse[I], FineToCoarse[Nbr], W);
-  CSRGraph Want(Rebuilt);
+      CoarseW[2 * FineToCoarse[I] + C] += FineW[2 * I + C];
+  std::vector<CSRGraph::Edge> Mapped;
+  std::vector<std::map<unsigned, uint64_t>> Ref(Coarse);
+  for (const CSRGraph::Edge &E : FineEdges) {
+    unsigned A = FineToCoarse[E.A], B = FineToCoarse[E.B];
+    Mapped.push_back({A, B, E.W});
+    if (A != B && E.W != 0) {
+      Ref[A][B] += E.W;
+      Ref[B][A] += E.W;
+    }
+  }
+  CSRGraph Want(2, CoarseW, Mapped);
 
   ASSERT_EQ(Got.getNumNodes(), Want.getNumNodes());
   EXPECT_EQ(Got.totalEdgeWeight(), Want.totalEdgeWeight());
   EXPECT_EQ(Got.totalWeights(), Want.totalWeights());
   for (unsigned Node = 0; Node != Coarse; ++Node) {
-    ASSERT_EQ(Got.degree(Node), Want.degree(Node)) << "node " << Node;
-    for (unsigned C = 0; C != 2; ++C)
-      EXPECT_EQ(Got.nodeWeight(Node, C), Want.nodeWeight(Node, C));
-    for (uint32_t S = Got.edgeBegin(Node), T = Want.edgeBegin(Node);
-         S != Got.edgeEnd(Node); ++S, ++T) {
-      EXPECT_EQ(Got.edgeTarget(S), Want.edgeTarget(T));
-      EXPECT_EQ(Got.edgeWeight(S), Want.edgeWeight(T));
+    ASSERT_EQ(Got.degree(Node), Ref[Node].size()) << "node " << Node;
+    ASSERT_EQ(Want.degree(Node), Ref[Node].size()) << "node " << Node;
+    for (unsigned C = 0; C != 2; ++C) {
+      EXPECT_EQ(Got.nodeWeight(Node, C), CoarseW[2 * Node + C]);
+      EXPECT_EQ(Want.nodeWeight(Node, C), CoarseW[2 * Node + C]);
+    }
+    uint32_t S = Got.edgeBegin(Node), T = Want.edgeBegin(Node);
+    for (const auto &[Nbr, W] : Ref[Node]) {
+      EXPECT_EQ(Got.edgeTarget(S), Nbr);
+      EXPECT_EQ(Got.edgeWeight(S), W);
+      EXPECT_EQ(Want.edgeTarget(T), Nbr);
+      EXPECT_EQ(Want.edgeWeight(T), W);
+      ++S;
+      ++T;
     }
   }
 }

@@ -112,6 +112,17 @@ TEST(GenSpec, ParsesAndRejects) {
   EXPECT_FALSE(gen::parseGenSpec("gen:1:0", Opt));
   EXPECT_FALSE(gen::parseGenSpec("gen:1:2x", Opt));
   EXPECT_FALSE(gen::parseGenSpec("fir", Opt));
+  // Each number is parsed whole or not at all: no spelling saturates onto
+  // the largest seed.
+  ASSERT_TRUE(gen::parseGenSpec("gen:18446744073709551615:2000000", Opt));
+  EXPECT_EQ(Opt.Seed, 18446744073709551615u);
+  EXPECT_EQ(Opt.TargetOps, 2000000u);
+  EXPECT_FALSE(gen::parseGenSpec("gen:18446744073709551616", Opt));
+  EXPECT_FALSE(gen::parseGenSpec("gen:99999999999999999999999", Opt));
+  EXPECT_FALSE(gen::parseGenSpec("gen:1:2000001", Opt));
+  EXPECT_FALSE(gen::parseGenSpec("gen:1:18446744073709551617", Opt));
+  EXPECT_FALSE(gen::parseGenSpec("gen:+1", Opt));
+  EXPECT_FALSE(gen::parseGenSpec("gen:-1", Opt));
 }
 
 TEST(GenSpec, ReproCommandMentionsSeedAndOps) {

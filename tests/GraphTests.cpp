@@ -1,47 +1,41 @@
 //===- tests/GraphTests.cpp - Graph partitioner unit tests --------------------===//
 
 #include "graph/MultilevelPartitioner.h"
-#include "graph/PartitionGraph.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 using namespace gdp;
 
-// --- PartitionGraph accounting ------------------------------------------------
+// --- The partition graph: CSRGraph's edge-list constructor ------------------
 
 TEST(PartitionGraphTest, NodeWeightsAndTotals) {
-  PartitionGraph G(2);
-  G.addNode({10, 1});
-  G.addNode({20, 2});
+  CSRGraph G(2, {10, 1, 20, 2}, {});
+  ASSERT_EQ(G.getNumNodes(), 2u);
+  EXPECT_EQ(G.nodeWeight(1, 0), 20u);
+  EXPECT_EQ(G.nodeWeight(1, 1), 2u);
   auto Totals = G.totalWeights();
   EXPECT_EQ(Totals[0], 30u);
   EXPECT_EQ(Totals[1], 3u);
 }
 
 TEST(PartitionGraphTest, ParallelEdgesAccumulate) {
-  PartitionGraph G(1);
-  unsigned A = G.addNode({1}), B = G.addNode({1});
-  G.addEdge(A, B, 3);
-  G.addEdge(B, A, 4);
-  EXPECT_EQ(G.edgeWeight(A, B), 7u);
+  CSRGraph G(1, {1, 1}, {{0, 1, 3}, {1, 0, 4}});
+  EXPECT_EQ(G.edgeWeightBetween(0, 1), 7u);
+  EXPECT_EQ(G.edgeWeightBetween(1, 0), 7u);
+  EXPECT_EQ(G.degree(0), 1u);
   EXPECT_EQ(G.totalEdgeWeight(), 7u);
 }
 
 TEST(PartitionGraphTest, SelfAndZeroEdgesIgnored) {
-  PartitionGraph G(1);
-  unsigned A = G.addNode({1}), B = G.addNode({1});
-  G.addEdge(A, A, 5);
-  G.addEdge(A, B, 0);
-  EXPECT_TRUE(G.neighbors(A).empty());
+  CSRGraph G(1, {1, 1}, {{0, 0, 5}, {0, 1, 0}});
+  EXPECT_EQ(G.degree(0), 0u);
+  EXPECT_EQ(G.degree(1), 0u);
   EXPECT_EQ(G.totalEdgeWeight(), 0u);
 }
 
 TEST(PartitionGraphTest, CutWeight) {
-  PartitionGraph G(1);
-  unsigned A = G.addNode({1}), B = G.addNode({1}), C = G.addNode({1});
-  G.addEdge(A, B, 5);
-  G.addEdge(B, C, 7);
+  CSRGraph G(1, {1, 1, 1}, {{0, 1, 5}, {1, 2, 7}});
   EXPECT_EQ(G.cutWeight({0, 0, 1}), 7u);
   EXPECT_EQ(G.cutWeight({0, 1, 0}), 12u);
   EXPECT_EQ(G.cutWeight({0, 0, 0}), 0u);
@@ -53,23 +47,21 @@ namespace {
 
 /// Two 4-cliques joined by a single light edge: the partitioner must cut
 /// the bridge.
-PartitionGraph makeTwoCliques() {
-  PartitionGraph G(1);
-  for (int I = 0; I != 8; ++I)
-    G.addNode({1});
+CSRGraph makeTwoCliques() {
+  std::vector<CSRGraph::Edge> Edges;
   for (unsigned I = 0; I != 4; ++I)
     for (unsigned J = I + 1; J != 4; ++J) {
-      G.addEdge(I, J, 10);
-      G.addEdge(I + 4, J + 4, 10);
+      Edges.push_back({I, J, 10});
+      Edges.push_back({I + 4, J + 4, 10});
     }
-  G.addEdge(3, 4, 1); // Bridge.
-  return G;
+  Edges.push_back({3, 4, 1}); // Bridge.
+  return CSRGraph(1, std::vector<uint64_t>(8, 1), Edges);
 }
 
 } // namespace
 
 TEST(PartitionerTest, CutsTheBridge) {
-  PartitionGraph G = makeTwoCliques();
+  CSRGraph G = makeTwoCliques();
   GraphPartitionOptions Opt;
   Opt.NumParts = 2;
   GraphPartition R = partitionGraph(G, Opt);
@@ -84,9 +76,7 @@ TEST(PartitionerTest, CutsTheBridge) {
 
 TEST(PartitionerTest, RespectsBalanceTolerance) {
   // 10 equal nodes, no edges: must split 5/5 within 10%.
-  PartitionGraph G(1);
-  for (int I = 0; I != 10; ++I)
-    G.addNode({100});
+  CSRGraph G(1, std::vector<uint64_t>(10, 100), {});
   GraphPartitionOptions Opt;
   Opt.NumParts = 2;
   Opt.Tolerances = {0.10};
@@ -98,10 +88,7 @@ TEST(PartitionerTest, RespectsBalanceTolerance) {
 TEST(PartitionerTest, GiantNodeStaysFeasible) {
   // One node heavier than the ideal half: assignment must still succeed,
   // with the giant alone-ish on one side.
-  PartitionGraph G(1);
-  G.addNode({1000});
-  for (int I = 0; I != 5; ++I)
-    G.addNode({10});
+  CSRGraph G(1, {1000, 10, 10, 10, 10, 10}, {});
   GraphPartitionOptions Opt;
   Opt.NumParts = 2;
   Opt.Tolerances = {0.05};
@@ -116,10 +103,8 @@ TEST(PartitionerTest, GiantNodeStaysFeasible) {
 TEST(PartitionerTest, MultiConstraintBalanced) {
   // Constraint 0 concentrated on even nodes, constraint 1 on odd ones:
   // both must end up split.
-  PartitionGraph G(2);
-  for (int I = 0; I != 8; ++I)
-    G.addNode(I % 2 == 0 ? std::vector<uint64_t>{100, 0}
-                         : std::vector<uint64_t>{0, 50});
+  CSRGraph G(2, {100, 0, 0, 50, 100, 0, 0, 50, 100, 0, 0, 50, 100, 0, 0, 50},
+             {});
   GraphPartitionOptions Opt;
   Opt.NumParts = 2;
   Opt.Tolerances = {0.2, 0.2};
@@ -133,16 +118,15 @@ TEST(PartitionerTest, MultiConstraintBalanced) {
 
 TEST(PartitionerTest, FourWay) {
   // Four 3-cliques in a ring with light bridges.
-  PartitionGraph G(1);
-  for (int I = 0; I != 12; ++I)
-    G.addNode({1});
+  std::vector<CSRGraph::Edge> Edges;
   for (unsigned K = 0; K != 4; ++K) {
     unsigned Base = K * 3;
-    G.addEdge(Base, Base + 1, 10);
-    G.addEdge(Base, Base + 2, 10);
-    G.addEdge(Base + 1, Base + 2, 10);
-    G.addEdge(Base + 2, (Base + 3) % 12, 1);
+    Edges.push_back({Base, Base + 1, 10});
+    Edges.push_back({Base, Base + 2, 10});
+    Edges.push_back({Base + 1, Base + 2, 10});
+    Edges.push_back({Base + 2, (Base + 3) % 12, 1});
   }
+  CSRGraph G(1, std::vector<uint64_t>(12, 1), Edges);
   GraphPartitionOptions Opt;
   Opt.NumParts = 4;
   GraphPartition R = partitionGraph(G, Opt);
@@ -154,22 +138,21 @@ TEST(PartitionerTest, FourWay) {
 }
 
 TEST(PartitionerTest, EmptyAndSingletonGraphs) {
-  PartitionGraph Empty(1);
+  CSRGraph Empty(1, {}, {});
   GraphPartitionOptions Opt;
   Opt.NumParts = 2;
   GraphPartition R = partitionGraph(Empty, Opt);
   EXPECT_TRUE(R.Assignment.empty());
   EXPECT_EQ(R.CutWeight, 0u);
 
-  PartitionGraph One(1);
-  One.addNode({5});
+  CSRGraph One(1, {5}, {});
   R = partitionGraph(One, Opt);
   ASSERT_EQ(R.Assignment.size(), 1u);
   EXPECT_EQ(R.CutWeight, 0u);
 }
 
 TEST(PartitionerTest, SinglePartTrivial) {
-  PartitionGraph G = makeTwoCliques();
+  CSRGraph G = makeTwoCliques();
   GraphPartitionOptions Opt;
   Opt.NumParts = 1;
   GraphPartition R = partitionGraph(G, Opt);
@@ -178,10 +161,10 @@ TEST(PartitionerTest, SinglePartTrivial) {
 }
 
 TEST(PartitionerTest, DeterministicForSeed) {
-  PartitionGraph G = makeTwoCliques();
+  // The partitioner's random choices come from one fixed seed.
+  CSRGraph G = makeTwoCliques();
   GraphPartitionOptions Opt;
   Opt.NumParts = 2;
-  Opt.Seed = 99;
   GraphPartition A = partitionGraph(G, Opt);
   GraphPartition B = partitionGraph(G, Opt);
   EXPECT_EQ(A.Assignment, B.Assignment);
@@ -191,16 +174,12 @@ TEST(PartitionerTest, DeterministicForSeed) {
 TEST(PartitionerTest, EscapesBalanceBlockedMinimumViaSwap) {
   // The fir-shaped trap: two heavy nodes that must sit on opposite sides,
   // where only a pairwise exchange reaches the good cut.
-  PartitionGraph G(1);
-  unsigned In = G.addNode({4096});
-  unsigned Out = G.addNode({4096});
-  unsigned Coef = G.addNode({96});
-  unsigned Mul = G.addNode({0});
-  unsigned Scl = G.addNode({0});
-  G.addEdge(In, Mul, 100000);
-  G.addEdge(Coef, Mul, 100000);
-  G.addEdge(Mul, Scl, 50000);
-  G.addEdge(Scl, Out, 6144);
+  const unsigned In = 0, Out = 1, Coef = 2, Mul = 3, Scl = 4;
+  CSRGraph G(1, {4096, 4096, 96, 0, 0},
+             {{In, Mul, 100000},
+              {Coef, Mul, 100000},
+              {Mul, Scl, 50000},
+              {Scl, Out, 6144}});
   GraphPartitionOptions Opt;
   Opt.NumParts = 2;
   Opt.Tolerances = {0.125};
@@ -216,19 +195,22 @@ class PartitionerPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(PartitionerPropertyTest, InvariantsOnRandomGraph) {
   uint64_t Seed = GetParam();
   Random RNG(Seed * 7919 + 1);
-  PartitionGraph G(2);
   unsigned N = 20 + static_cast<unsigned>(RNG.nextBelow(180));
-  for (unsigned I = 0; I != N; ++I)
-    G.addNode({RNG.nextBelow(100), RNG.nextBelow(5)});
-  unsigned E = N * 2;
-  for (unsigned I = 0; I != E; ++I)
-    G.addEdge(static_cast<unsigned>(RNG.nextBelow(N)),
-              static_cast<unsigned>(RNG.nextBelow(N)),
-              1 + RNG.nextBelow(50));
+  std::vector<uint64_t> Weights;
+  for (unsigned I = 0; I != N; ++I) {
+    uint64_t Bytes = RNG.nextBelow(100);
+    Weights.insert(Weights.end(), {Bytes, RNG.nextBelow(5)});
+  }
+  std::vector<CSRGraph::Edge> Edges;
+  for (unsigned I = 0; I != N * 2; ++I) {
+    auto A = static_cast<unsigned>(RNG.nextBelow(N));
+    auto B = static_cast<unsigned>(RNG.nextBelow(N));
+    Edges.push_back({A, B, 1 + RNG.nextBelow(50)});
+  }
+  CSRGraph G(2, Weights, Edges);
 
   GraphPartitionOptions Opt;
   Opt.NumParts = 2 + static_cast<unsigned>(Seed % 3);
-  Opt.Seed = Seed;
   GraphPartition R = partitionGraph(G, Opt);
 
   // Assignment covers every node with a valid part.
@@ -253,9 +235,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PartitionerPropertyTest,
 TEST(PartitionerTest, CapacitySharesSkewLoads) {
   // 12 unconnected equal nodes with shares {3, 1}: part 0 should carry
   // roughly three quarters of the weight.
-  PartitionGraph G(1);
-  for (int I = 0; I != 12; ++I)
-    G.addNode({100});
+  CSRGraph G(1, std::vector<uint64_t>(12, 100), {});
   GraphPartitionOptions Opt;
   Opt.NumParts = 2;
   Opt.Tolerances = {0.10};
@@ -268,9 +248,7 @@ TEST(PartitionerTest, CapacitySharesSkewLoads) {
 }
 
 TEST(PartitionerTest, UniformSharesMatchDefault) {
-  PartitionGraph G(1);
-  for (int I = 0; I != 10; ++I)
-    G.addNode({50});
+  CSRGraph G(1, std::vector<uint64_t>(10, 50), {});
   GraphPartitionOptions A;
   A.NumParts = 2;
   GraphPartitionOptions B = A;

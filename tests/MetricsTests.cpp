@@ -8,9 +8,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Json.h"
 #include "support/Telemetry.h"
-
-#include "TestJson.h"
 
 #include <gtest/gtest.h>
 
@@ -129,11 +128,11 @@ TEST(StatsRegistry, QuantileSectionInJson) {
   StatsRegistry R;
   for (int I = 0; I != 10; ++I)
     R.recordValue("sched.len", static_cast<double>(I + 1));
-  testjson::JVal Doc;
+  support::json::JVal Doc;
   std::string Err;
-  ASSERT_TRUE(testjson::parse(R.toJson(), Doc, Err)) << Err;
+  ASSERT_TRUE(support::json::parse(R.toJson(), Doc, Err)) << Err;
   ASSERT_TRUE(Doc.has("quantiles"));
-  const testjson::JVal &Q = Doc["quantiles"]["sched.len"];
+  const support::json::JVal &Q = Doc["quantiles"]["sched.len"];
   EXPECT_EQ(Q["count"].Num, 10);
   EXPECT_DOUBLE_EQ(Q["p50"].Num, R.quantile("sched.len", 0.5));
   EXPECT_DOUBLE_EQ(Q["p90"].Num, R.quantile("sched.len", 0.9));

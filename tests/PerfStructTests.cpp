@@ -2,8 +2,8 @@
 //
 // The performance-oriented structures behind the refinement/pipeline
 // overhaul: the addressable gain bucket's strict deterministic ordering
-// under inserts, updates and extracts; the CSR graph snapshot's exact
-// equivalence with the map-based adjacency it compresses; the shared
+// under inserts, updates and extracts; the CSR graph's exact equivalence
+// with the map-based adjacency its edge list accumulates to; the shared
 // prepared-program cache's hit/miss accounting and immutable sharing; and
 // byte-determinism of the refactored refinement across 1/2/8 threads.
 //
@@ -13,7 +13,6 @@
 #include "graph/CSRGraph.h"
 #include "graph/GainBucket.h"
 #include "graph/MultilevelPartitioner.h"
-#include "graph/PartitionGraph.h"
 #include "partition/PreparedCache.h"
 #include "support/Random.h"
 #include "support/Telemetry.h"
@@ -214,83 +213,101 @@ TEST(GainBucketTest, MatchesOrderedSetReference) {
 
 // --- CSRGraph ----------------------------------------------------------------
 
-/// A reproducible random multigraph with two constraints and duplicate
-/// addEdge calls (which must accumulate identically in both forms).
-PartitionGraph makeRandomGraph(uint64_t Seed, unsigned NumNodes,
-                               unsigned NumEdges) {
+/// A reproducible random multigraph with two constraints: row-major node
+/// weights, an edge list in which duplicates, zero weights and self-edges
+/// ride along, and the std::map adjacency those edges accumulate to.
+struct RandomGraph {
+  std::vector<uint64_t> Weights;
+  std::vector<CSRGraph::Edge> Edges;
+  std::vector<std::map<unsigned, uint64_t>> Adj;
+};
+
+RandomGraph makeRandomGraph(uint64_t Seed, unsigned NumNodes,
+                            unsigned NumEdges) {
   Random RNG(Seed);
-  PartitionGraph G(2);
-  for (unsigned I = 0; I != NumNodes; ++I)
-    G.addNode({RNG.nextBelow(1000) + 1, RNG.nextBelow(50) + 1});
-  for (unsigned I = 0; I != NumEdges; ++I)
-    G.addEdge(static_cast<unsigned>(RNG.nextBelow(NumNodes)),
-              static_cast<unsigned>(RNG.nextBelow(NumNodes)),
-              RNG.nextBelow(100)); // Zero weights and self-edges ride along.
-  return G;
+  RandomGraph R;
+  for (unsigned I = 0; I != NumNodes; ++I) {
+    uint64_t Bytes = RNG.nextBelow(1000) + 1;
+    R.Weights.insert(R.Weights.end(), {Bytes, RNG.nextBelow(50) + 1});
+  }
+  R.Adj.resize(NumNodes);
+  for (unsigned I = 0; I != NumEdges; ++I) {
+    auto A = static_cast<unsigned>(RNG.nextBelow(NumNodes));
+    auto B = static_cast<unsigned>(RNG.nextBelow(NumNodes));
+    uint64_t W = RNG.nextBelow(100);
+    R.Edges.push_back({A, B, W});
+    if (A != B && W != 0) {
+      R.Adj[A][B] += W;
+      R.Adj[B][A] += W;
+    }
+  }
+  return R;
 }
 
 TEST(CSRGraphTest, RoundTripMatchesMapAdjacency) {
-  PartitionGraph G = makeRandomGraph(42, 64, 400);
-  CSRGraph C(G);
+  RandomGraph R = makeRandomGraph(42, 64, 400);
+  CSRGraph C(2, R.Weights, R.Edges);
 
-  ASSERT_EQ(C.getNumNodes(), G.getNumNodes());
-  ASSERT_EQ(C.getNumConstraints(), G.getNumConstraints());
-  for (unsigned N = 0; N != G.getNumNodes(); ++N) {
-    const std::vector<uint64_t> &W = G.getNodeWeights(N);
-    for (unsigned K = 0; K != G.getNumConstraints(); ++K) {
-      EXPECT_EQ(C.nodeWeight(N, K), W[K]);
-      EXPECT_EQ(C.nodeWeights(N)[K], W[K]);
+  ASSERT_EQ(C.getNumNodes(), 64u);
+  ASSERT_EQ(C.getNumConstraints(), 2u);
+  std::vector<uint64_t> Totals(2, 0);
+  uint64_t TotalEdgeW = 0;
+  for (unsigned N = 0; N != 64; ++N) {
+    for (unsigned K = 0; K != 2; ++K) {
+      EXPECT_EQ(C.nodeWeight(N, K), R.Weights[2 * N + K]);
+      EXPECT_EQ(C.nodeWeights(N)[K], R.Weights[2 * N + K]);
+      Totals[K] += R.Weights[2 * N + K];
     }
 
-    // Every adjacency row reproduces the edge list exactly, in ascending
-    // order.
-    const PartitionGraph::EdgeList &Nbrs = G.neighbors(N);
-    ASSERT_EQ(C.degree(N), Nbrs.size()) << "node " << N;
+    // Every adjacency row reproduces the map exactly, in ascending order.
+    ASSERT_EQ(C.degree(N), R.Adj[N].size()) << "node " << N;
     uint32_t Slot = C.edgeBegin(N);
-    for (const auto &[To, W2] : Nbrs) {
+    for (const auto &[To, W] : R.Adj[N]) {
       EXPECT_EQ(C.edgeTarget(Slot), To);
-      EXPECT_EQ(C.edgeWeight(Slot), W2);
+      EXPECT_EQ(C.edgeWeight(Slot), W);
+      if (To > N)
+        TotalEdgeW += W;
       ++Slot;
     }
     EXPECT_EQ(Slot, C.edgeEnd(N));
   }
 
-  EXPECT_EQ(C.totalWeights(), G.totalWeights());
-  EXPECT_EQ(C.totalEdgeWeight(), G.totalEdgeWeight());
+  EXPECT_EQ(C.totalWeights(), Totals);
+  EXPECT_EQ(C.totalEdgeWeight(), TotalEdgeW);
 }
 
 TEST(CSRGraphTest, EdgeWeightBetweenAndCutWeightAgree) {
-  PartitionGraph G = makeRandomGraph(7, 48, 300);
-  CSRGraph C(G);
+  RandomGraph R = makeRandomGraph(7, 48, 300);
+  CSRGraph C(2, R.Weights, R.Edges);
 
-  for (unsigned A = 0; A != G.getNumNodes(); ++A)
-    for (unsigned B = 0; B != G.getNumNodes(); ++B) {
-      uint64_t Expected = G.edgeWeight(A, B);
+  for (unsigned A = 0; A != 48; ++A)
+    for (unsigned B = 0; B != 48; ++B) {
+      auto It = R.Adj[A].find(B);
+      uint64_t Expected = It == R.Adj[A].end() ? 0 : It->second;
       EXPECT_EQ(C.edgeWeightBetween(A, B), Expected)
           << "edge {" << A << ", " << B << "}";
     }
 
   Random RNG(99);
   for (int Trial = 0; Trial != 10; ++Trial) {
-    std::vector<unsigned> Assign(G.getNumNodes());
+    std::vector<unsigned> Assign(48);
     for (unsigned &P : Assign)
       P = static_cast<unsigned>(RNG.nextBelow(4));
-    EXPECT_EQ(C.cutWeight(Assign), G.cutWeight(Assign));
+    uint64_t Expected = 0;
+    for (unsigned A = 0; A != 48; ++A)
+      for (const auto &[B, W] : R.Adj[A])
+        if (B > A && Assign[A] != Assign[B])
+          Expected += W;
+    EXPECT_EQ(C.cutWeight(Assign), Expected);
   }
 }
 
 TEST(CSRGraphTest, HandlesEmptyAndIsolatedNodes) {
-  PartitionGraph Empty(1);
-  CSRGraph CE(Empty);
+  CSRGraph CE(1, {}, {});
   EXPECT_EQ(CE.getNumNodes(), 0u);
   EXPECT_EQ(CE.totalEdgeWeight(), 0u);
 
-  PartitionGraph G(1);
-  G.addNode({3});
-  G.addNode({5}); // Isolated.
-  G.addNode({7});
-  G.addEdge(0, 2, 11);
-  CSRGraph C(G);
+  CSRGraph C(1, {3, 5, 7}, {{0, 2, 11}}); // Node 1 is isolated.
   EXPECT_EQ(C.degree(1), 0u);
   EXPECT_EQ(C.edgeBegin(1), C.edgeEnd(1));
   EXPECT_EQ(C.edgeWeightBetween(0, 1), 0u);
@@ -496,11 +513,11 @@ TEST(PreparedCacheTest, DefaultCapacityIsGenerous) {
 
 TEST(RefinementDeterminism, PartitionerIdenticalAcrossRepeatedRuns) {
   // The bucket-based refiner's deterministic tie-breaking end to end: the
-  // same seed yields bit-identical assignments, cut and part weights.
-  PartitionGraph G = makeRandomGraph(2026, 96, 600);
+  // same graph yields bit-identical assignments, cut and part weights.
+  RandomGraph R = makeRandomGraph(2026, 96, 600);
+  CSRGraph G(2, R.Weights, R.Edges);
   GraphPartitionOptions Opt;
   Opt.NumParts = 4;
-  Opt.Seed = 17;
   GraphPartition First = partitionGraph(G, Opt);
   GraphPartition Second = partitionGraph(G, Opt);
   EXPECT_EQ(First.Assignment, Second.Assignment);

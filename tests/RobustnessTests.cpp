@@ -339,6 +339,29 @@ TEST(Degradation, UnpreparedProgramFailsTotally) {
   EXPECT_FALSE(R.Diags.empty());
 }
 
+TEST(Degradation, ClusterCountOutsideItsRangeIsAnInputError) {
+  // 0 and anything above MaxClusters fail before any partitioning work,
+  // on the options and on a custom machine alike.
+  ASSERT_EQ(MaxClusters, 64u);
+  MachineModel NoClusters; // A custom machine with no cluster added.
+  MachineModel TooMany = MachineModel::makeDefault(MaxClusters + 1);
+  for (unsigned Clusters : {0u, MaxClusters + 1}) {
+    PipelineOptions Opt;
+    Opt.NumClusters = Clusters;
+    PipelineOptions OnMachine;
+    OnMachine.Machine = Clusters ? &TooMany : &NoClusters;
+    for (const PipelineOptions *O : {&Opt, &OnMachine}) {
+      PipelineResult R = runStrategy(fir().PP, *O);
+      EXPECT_TRUE(R.Failed) << Clusters << " clusters";
+      EXPECT_EQ(R.RHOPRuns, 0u);
+      const Diag *D = support::firstError(R.Diags);
+      ASSERT_NE(D, nullptr) << Clusters << " clusters";
+      EXPECT_EQ(D->Code, StatusCode::InputError);
+      EXPECT_EQ(D->Site, "pipeline");
+    }
+  }
+}
+
 TEST(Degradation, CapacityInfeasibilityDemotesWithoutFaults) {
   // Genuine (non-injected) infeasibility: the 1000-byte object cannot fit
   // a 600-byte cluster, so GDP (including its relaxed retry) fails and the

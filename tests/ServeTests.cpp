@@ -8,8 +8,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestJson.h"
-
 #include "gen/Generator.h"
 #include "partition/PreparedCache.h"
 #include "partition/PartitionTables.h"
@@ -18,6 +16,7 @@
 #include "serve/Server.h"
 #include "serve/Wire.h"
 #include "support/FaultInjector.h"
+#include "support/Json.h"
 #include "support/StrUtil.h"
 
 #include "gtest/gtest.h"
@@ -405,9 +404,9 @@ TEST(ServeService, ControlCharactersInSpecsGiveValidJsonBodies) {
     EXPECT_TRUE(std::none_of(Doc.begin(), Doc.end(),
                              [](unsigned char C) { return C < 0x20; }))
         << Doc;
-    testjson::JVal Parsed;
+    support::json::JVal Parsed;
     std::string Err;
-    ASSERT_TRUE(testjson::parse(Out.Body, Parsed, Err)) << Err << "\n" << Doc;
+    ASSERT_TRUE(support::json::parse(Out.Body, Parsed, Err)) << Err << "\n" << Doc;
     ASSERT_EQ(Parsed["diags"].Arr.size(), 1u);
     EXPECT_EQ(Parsed["diags"].Arr[0]["context"]["spec"].Str, Spec);
   }
@@ -469,9 +468,9 @@ TEST(ServeService, ManyLatenciesKeepTheUnlockedRHOPTableBounded) {
       Req.MoveLatency = Latencies[I];
       PartitionOutcome Out = Svc.partition(Req);
       ASSERT_EQ(Out.S, Status::Ok) << Out.Body;
-      testjson::JVal Doc;
+      support::json::JVal Doc;
       std::string Err;
-      ASSERT_TRUE(testjson::parse(Out.Body, Doc, Err)) << Err;
+      ASSERT_TRUE(support::json::parse(Out.Body, Doc, Err)) << Err;
 
       auto P = gen::generateProgram(GO);
       PreparedProgram PP = prepareProgram(*P);
@@ -529,9 +528,9 @@ TEST(ServeService, ManyClusterCountsKeepTheDataPartitionTableBounded) {
       Req.MoveLatency = Lat;
       PartitionOutcome Out = Svc.partition(Req);
       ASSERT_EQ(Out.S, Status::Ok) << Out.Body;
-      testjson::JVal Doc;
+      support::json::JVal Doc;
       std::string Err;
-      ASSERT_TRUE(testjson::parse(Out.Body, Doc, Err)) << Err;
+      ASSERT_TRUE(support::json::parse(Out.Body, Doc, Err)) << Err;
 
       auto P = gen::generateProgram(GO);
       PreparedProgram PP = prepareProgram(*P);

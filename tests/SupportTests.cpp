@@ -203,7 +203,7 @@ TEST(StrUtilTest, TextTableAlignsColumns) {
   EXPECT_NE(Out.find("23"), std::string::npos);
 }
 
-// --- Stats / Histogram -------------------------------------------------------
+// --- Stats -------------------------------------------------------------------
 
 TEST(StatsTest, MeanMinMax) {
   Stats S;
@@ -221,21 +221,6 @@ TEST(StatsTest, Geomean) {
   S.add(1);
   S.add(100);
   EXPECT_NEAR(S.geomean(), 10.0, 1e-9);
-}
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram H(0.0, 1.0, 4);
-  H.add(0.1);  // bucket 0
-  H.add(0.3);  // bucket 1
-  H.add(0.9);  // bucket 3
-  H.add(-5.0); // clamps to 0
-  H.add(7.0);  // clamps to 3
-  EXPECT_EQ(H.totalCount(), 5u);
-  EXPECT_EQ(H.bucketCount(0), 2u);
-  EXPECT_EQ(H.bucketCount(1), 1u);
-  EXPECT_EQ(H.bucketCount(2), 0u);
-  EXPECT_EQ(H.bucketCount(3), 2u);
-  EXPECT_DOUBLE_EQ(H.bucketLo(2), 0.5);
 }
 
 // --- Json -----------------------------------------------------------------

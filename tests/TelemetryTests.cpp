@@ -2,7 +2,7 @@
 //
 // Covers the gdp::telemetry subsystem: registry semantics, histogram
 // merging, trace-event JSON well-formedness (parsed back with the minimal
-// parser in TestJson.h), determinism of the counters across identical
+// parser in support/Json.h), determinism of the counters across identical
 // pipeline runs, and the allocation-free disabled fast path. The
 // BenchJsonFile suite validates the bench harness's --json output when the
 // ctest fixture provides one (GDP_BENCH_JSON), and skips otherwise.
@@ -12,10 +12,9 @@
 #include "partition/Pipeline.h"
 #include "profile/ExecTrace.h"
 #include "profile/Interpreter.h"
+#include "support/Json.h"
 #include "support/Telemetry.h"
 #include "workloads/Workloads.h"
-
-#include "TestJson.h"
 
 #include <gtest/gtest.h>
 
@@ -142,10 +141,10 @@ TEST(StatsRegistry, JsonParsesBackWithAllSections) {
   R.addCounter("ops \"quoted\"", 12);
   R.recordValue("len", 3.5);
   R.addTime("phase", 0.125);
-  testjson::JVal Doc;
+  support::json::JVal Doc;
   std::string Err;
-  ASSERT_TRUE(testjson::parse(R.toJson(), Doc, Err)) << Err;
-  ASSERT_EQ(Doc.K, testjson::JVal::Object);
+  ASSERT_TRUE(support::json::parse(R.toJson(), Doc, Err)) << Err;
+  ASSERT_EQ(Doc.K, support::json::JVal::Object);
   EXPECT_EQ(Doc["counters"]["ops \"quoted\""].Num, 12);
   EXPECT_EQ(Doc["values"]["len"]["count"].Num, 1);
   EXPECT_DOUBLE_EQ(Doc["values"]["len"]["mean"].Num, 3.5);
@@ -199,16 +198,16 @@ TEST(Telemetry, TraceJsonIsWellFormedTraceEventFormat) {
     }
     instant("marker");
   }
-  testjson::JVal Doc;
+  support::json::JVal Doc;
   std::string Err;
-  ASSERT_TRUE(testjson::parse(S.trace().toJson(), Doc, Err)) << Err;
-  ASSERT_EQ(Doc.K, testjson::JVal::Object);
+  ASSERT_TRUE(support::json::parse(S.trace().toJson(), Doc, Err)) << Err;
+  ASSERT_EQ(Doc.K, support::json::JVal::Object);
   ASSERT_TRUE(Doc.has("traceEvents"));
-  const testjson::JVal &Events = Doc["traceEvents"];
-  ASSERT_EQ(Events.K, testjson::JVal::Array);
+  const support::json::JVal &Events = Doc["traceEvents"];
+  ASSERT_EQ(Events.K, support::json::JVal::Array);
   ASSERT_EQ(Events.Arr.size(), 2u);
-  for (const testjson::JVal &E : Events.Arr) {
-    ASSERT_EQ(E.K, testjson::JVal::Object);
+  for (const support::json::JVal &E : Events.Arr) {
+    ASSERT_EQ(E.K, support::json::JVal::Object);
     // The keys chrome://tracing / Perfetto require on every event.
     for (const char *Key : {"name", "cat", "ph", "ts", "pid", "tid"})
       EXPECT_TRUE(E.has(Key)) << "missing key " << Key;
@@ -344,12 +343,12 @@ TEST(Telemetry, SpanAttributesRenderInTraceJson) {
     Span Sp("pipeline.strategy", "pipeline");
     Sp.attr("strategy", "gdp").attr("clusters", 2u).attr("ratio", 0.25);
   }
-  testjson::JVal Doc;
+  support::json::JVal Doc;
   std::string Err;
-  ASSERT_TRUE(testjson::parse(S.trace().toJson(), Doc, Err)) << Err;
-  const testjson::JVal &E = Doc["traceEvents"].Arr.at(0);
+  ASSERT_TRUE(support::json::parse(S.trace().toJson(), Doc, Err)) << Err;
+  const support::json::JVal &E = Doc["traceEvents"].Arr.at(0);
   ASSERT_TRUE(E.has("args"));
-  const testjson::JVal &Args = E["args"];
+  const support::json::JVal &Args = E["args"];
   EXPECT_GT(Args["span"].Num, 0);
   EXPECT_EQ(Args["strategy"].Str, "gdp");
   EXPECT_EQ(Args["clusters"].Num, 2);
@@ -437,15 +436,15 @@ TEST(BenchJsonFile, RecordsAreWellFormed) {
     GTEST_SKIP() << "bench JSON file not present: " << Path;
   std::ostringstream Buf;
   Buf << In.rdbuf();
-  testjson::JVal Doc;
+  support::json::JVal Doc;
   std::string Err;
-  ASSERT_TRUE(testjson::parse(Buf.str(), Doc, Err)) << Err;
+  ASSERT_TRUE(support::json::parse(Buf.str(), Doc, Err)) << Err;
   EXPECT_EQ(Doc["schema"].Str, "gdp-bench-v1");
-  const testjson::JVal &Records = Doc["records"];
-  ASSERT_EQ(Records.K, testjson::JVal::Array);
+  const support::json::JVal &Records = Doc["records"];
+  ASSERT_EQ(Records.K, support::json::JVal::Array);
   ASSERT_FALSE(Records.Arr.empty());
   std::set<std::pair<std::string, std::string>> Seen;
-  for (const testjson::JVal &R : Records.Arr) {
+  for (const support::json::JVal &R : Records.Arr) {
     for (const char *Key :
          {"benchmark", "strategy", "move_latency", "machine", "cycles",
           "dynamic_moves", "static_moves", "rhop_runs", "prepare_sec",
@@ -453,8 +452,8 @@ TEST(BenchJsonFile, RecordsAreWellFormed) {
       EXPECT_TRUE(R.has(Key)) << "record missing " << Key;
     EXPECT_GT(R["cycles"].Num, 0) << R["benchmark"].Str;
     // The machine-configuration metadata of the evaluated record.
-    const testjson::JVal &M = R["machine"];
-    ASSERT_EQ(M.K, testjson::JVal::Object) << R["benchmark"].Str;
+    const support::json::JVal &M = R["machine"];
+    ASSERT_EQ(M.K, support::json::JVal::Object) << R["benchmark"].Str;
     for (const char *Key : {"clusters", "fu_per_cluster", "move_latency",
                             "move_bandwidth", "memory", "cluster_memory_bytes"})
       EXPECT_TRUE(M.has(Key)) << "machine metadata missing " << Key;
@@ -462,11 +461,11 @@ TEST(BenchJsonFile, RecordsAreWellFormed) {
     EXPECT_EQ(M["move_latency"].Num, R["move_latency"].Num);
     EXPECT_TRUE(M["memory"].Str == "partitioned" || M["memory"].Str == "unified")
         << M["memory"].Str;
-    const testjson::JVal &FU = M["fu_per_cluster"];
-    ASSERT_EQ(FU.K, testjson::JVal::Object);
+    const support::json::JVal &FU = M["fu_per_cluster"];
+    ASSERT_EQ(FU.K, support::json::JVal::Object);
     for (const char *Kind : {"int", "float", "mem", "branch"})
       EXPECT_TRUE(FU.has(Kind)) << "fu_per_cluster missing " << Kind;
-    EXPECT_EQ(R["counters"].K, testjson::JVal::Object);
+    EXPECT_EQ(R["counters"].K, support::json::JVal::Object);
     EXPECT_GE(R["counters"].Obj.size(), 5u);
     Seen.insert({R["benchmark"].Str, R["strategy"].Str});
   }

@@ -96,7 +96,7 @@ void usage(std::FILE *Out = stderr) {
       "      --strategy=gdp|profilemax|naive|unified|all   (default: all)\n"
       "      --latency=N (or --lat=N) intercluster move latency, 1..%u\n"
       "                               (default 5)\n"
-      "      --clusters=N             cluster count (default 2)\n"
+      "      --clusters=N             cluster count, 1..%u (default 2)\n"
       "      --placement              also print the object placement\n"
       "      --optimize               run fold/copy-prop/DCE first\n"
       "      --threads=N              evaluate strategies on N threads,\n"
@@ -128,7 +128,7 @@ void usage(std::FILE *Out = stderr) {
       "            4 (request) server unreachable or no replica available\n"
       "              (transport-level Unavailable; diag site\n"
       "              serve.unavailable — docs/SERVING.md)\n",
-      MaxMoveLatency, support::MaxThreads);
+      MaxMoveLatency, MaxClusters, support::MaxThreads);
 }
 
 bool OptimizeFlag = false;
@@ -993,7 +993,7 @@ int cmdRequest(int argc, char **argv) {
       if (!parseFlagValue(Arg, MaxMoveLatency, Req.MoveLatency))
         return 1;
     } else if (Arg.rfind("--clusters=", 0) == 0) {
-      if (!parseFlagValue(Arg, UINT_MAX, Req.Clusters))
+      if (!parseFlagValue(Arg, MaxClusters, Req.Clusters))
         return 1;
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(14), Req.DeadlineMs)) {
@@ -1158,7 +1158,7 @@ int main(int argc, char **argv) {
         return 1;
       }
     } else if (Arg.rfind("--clusters=", 0) == 0) {
-      if (!parseFlagValue(Arg, UINT_MAX, Clusters)) {
+      if (!parseFlagValue(Arg, MaxClusters, Clusters)) {
         usage();
         return 1;
       }
