@@ -5,8 +5,8 @@
 #include "analysis/PointsTo.h"
 #include "ir/Verifier.h"
 #include "partition/PartitionTables.h"
-#include "profile/ExecTrace.h"
 #include "profile/Interpreter.h"
+#include "profile/TraceSummary.h"
 #include "sched/ListScheduler.h"
 #include "support/FaultInjector.h"
 #include "support/StrUtil.h"
@@ -51,7 +51,6 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
   auto Start = std::chrono::steady_clock::now();
   PreparedProgram PP;
   PP.P = &P;
-  ExecTrace Trace; // Recorded under CaptureTrace; only its summary is kept.
   auto Done = [&] {
     PP.PrepareSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -87,11 +86,12 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
     }
   }
 
+  // Built during the profiling run under CaptureTrace; kept on success.
+  auto Summary = CaptureTrace ? std::make_shared<TraceSummary>() : nullptr;
   {
     telemetry::Span T("pipeline.prepare.profile");
     Interpreter Interp(P);
-    if (CaptureTrace)
-      Interp.setTrace(&Trace);
+    Interp.setSummary(Summary.get());
     InterpResult IR = Interp.run(MaxSteps);
     if (!IR.Ok) {
       PP.Error = "profiling run failed: " + IR.Error;
@@ -100,18 +100,14 @@ PreparedProgram gdp::prepareProgram(Program &P, uint64_t MaxSteps,
       Done();
       return PP;
     }
-    PP.Prof = Interp.getProfile();
+    PP.Prof = Interp.takeProfile();
     PP.Prof.applyHeapSizes(P);
   }
   {
     telemetry::Span T("pipeline.prepare.analyses");
     PP.Analyses = std::make_shared<const ProgramAnalyses>(P);
   }
-  if (CaptureTrace) {
-    telemetry::Span T("pipeline.prepare.summary");
-    PP.Summary =
-        std::make_shared<const TraceSummary>(summarizeTrace(P, Trace));
-  }
+  PP.Summary = std::move(Summary);
   PP.Ok = true;
   PP.Tables = std::make_shared<PartitionTables>();
   Done();

@@ -112,13 +112,12 @@ struct PreparedProgram {
   /// Structured form of Error: verifier diagnostics verbatim, or one
   /// diagnostic for a points-to/profiling failure. Empty on success.
   std::vector<support::Diag> Diags;
-  /// Verify + points-to + profiling + analyses (+ trace summary) wall
-  /// clock.
+  /// Verify + points-to + profiling + analyses wall clock.
   double PrepareSeconds = 0;
-  /// Summary of the profiling run's dynamic trace (profile/ExecTrace.h),
-  /// the cycle simulator's input: present only when the program was
-  /// prepared with CaptureTrace and preparation succeeded. The trace
-  /// itself is released once summarized. Shared so a PreparedProgram
+  /// Summary of the profiling run's block executions
+  /// (profile/TraceSummary.h), the cycle simulator's input, built during
+  /// that run: present only when the program was prepared with
+  /// CaptureTrace and preparation succeeded. Shared so a PreparedProgram
   /// stays cheap to copy.
   std::shared_ptr<const TraceSummary> Summary;
   /// CFG, loops and region DFGs of every function (sched/BlockDFG.h), the
@@ -138,9 +137,8 @@ struct PreparedProgram {
 /// Verifies \p P, annotates memory access sets (points-to), interprets the
 /// program to collect the profile, applies the profiled heap sizes, and
 /// builds the program's analyses (CFG, loops, region DFGs). With
-/// \p CaptureTrace the profiling run also records the dynamic
-/// block/access trace (profile/ExecTrace.h), which is summarized for
-/// sim/Simulator under the `pipeline.prepare.summary` span.
+/// \p CaptureTrace the profiling run also builds the summary of its block
+/// executions (profile/TraceSummary.h) that sim/Simulator replays.
 PreparedProgram prepareProgram(Program &P, uint64_t MaxSteps = 200000000ULL,
                                bool CaptureTrace = false);
 

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A direct interpreter for the IR. It plays two roles:
+/// An interpreter for the IR. It plays two roles:
 ///
 ///  1. **Profiler** — it records block frequencies, per-operation dynamic
 ///     object access counts and heap allocation sizes (the inputs the data
 ///     partitioner needs, paper §3.2), substituting for Trimaran's profile
-///     infrastructure.
+///     infrastructure, and, on request, the per-block execution summary
+///     the cycle simulator replays (profile/TraceSummary.h).
 ///  2. **Oracle** — the workload tests execute each kernel and check its
 ///     outputs against reference results, establishing that the IR programs
 ///     really implement the algorithms whose access patterns the
@@ -19,6 +20,10 @@
 /// Values are dual-typed (every register/memory cell carries both an
 /// integer and a float lane; opcodes pick the lane), which keeps the IR
 /// untyped without losing numeric fidelity.
+///
+/// Each run lowers the program into a flat decoded form (one fixed-size
+/// record per operation) and interprets that; the form lives for the run
+/// only, since transforms may change the program between runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,13 +39,20 @@
 namespace gdp {
 
 class Program;
-struct ExecTrace;
+struct TraceSummary;
 
 /// One runtime value: an integer lane and a float lane.
 struct RtValue {
   int64_t I = 0;
   double F = 0;
 };
+
+/// The integer lane of float value \p V: \p V truncated toward zero, or
+/// INT64_MIN when \p V is NaN or its truncation lies outside int64_t (what
+/// x86's conversion yields; a plain cast would be undefined behaviour).
+inline int64_t floatToIntLane(double V) {
+  return V >= -0x1p63 && V < 0x1p63 ? static_cast<int64_t>(V) : INT64_MIN;
+}
 
 /// Outcome of one interpreter run.
 struct InterpResult {
@@ -61,12 +73,15 @@ public:
   InterpResult run(uint64_t MaxSteps = 200000000ULL);
 
   const ProfileData &getProfile() const { return Profile; }
+  /// Moves the profile out; getProfile() is empty until the next run().
+  ProfileData takeProfile() { return std::move(Profile); }
 
-  /// Records the dynamic block/access trace of the next run() into \p T
-  /// (see profile/ExecTrace.h). Pass nullptr (the default state) to
-  /// disable tracing; the disabled path does no trace work and no
-  /// allocations. The trace is reset at the start of each traced run.
-  void setTrace(ExecTrace *T) { Trace = T; }
+  /// Builds the summary of the next run()'s block executions into \p S
+  /// (profile/TraceSummary.h), counting each execution when it finishes.
+  /// Pass nullptr (the default state) to disable it; the disabled path
+  /// does no summary work and no allocations for it. \p S is reset at the
+  /// start of each run and is complete only when the run succeeds.
+  void setSummary(TraceSummary *S) { Summary = S; }
 
   /// Reads element \p Index of global object \p ObjectId (integer lane).
   int64_t readGlobalInt(unsigned ObjectId, uint64_t Index) const;
@@ -80,23 +95,12 @@ private:
     std::vector<RtValue> Cells;
   };
 
-  struct Frame {
-    const void *Func; ///< const Function*, type-erased to keep header light.
-    std::vector<RtValue> Regs;
-    int BlockId = 0;
-    unsigned OpIdx = 0;
-    int CallerDest = -1; ///< Caller register receiving the return value.
-  };
+  template <bool Summarize> InterpResult execute(uint64_t MaxSteps);
 
   const Program &Prog;
   std::vector<Region> Regions; ///< [0, numObjects) are the globals.
   ProfileData Profile;
-  ExecTrace *Trace = nullptr; ///< Optional dynamic trace sink; null = off.
-
-  // Address encoding: high 32 bits region index, low 32 bits element offset.
-  static int64_t makeAddr(uint64_t Reg, uint64_t Off) {
-    return static_cast<int64_t>((Reg << 32) | (Off & 0xffffffffULL));
-  }
+  TraceSummary *Summary = nullptr; ///< Optional summary sink; null = off.
 };
 
 } // namespace gdp

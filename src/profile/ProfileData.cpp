@@ -10,9 +10,8 @@ using namespace gdp;
 
 namespace {
 
-/// lower_bound position of \p ObjectId in a sorted access list.
-ProfileData::AccessList::const_iterator find(const ProfileData::AccessList &L,
-                                             int ObjectId) {
+/// lower_bound position of \p ObjectId in sorted access list \p L.
+template <typename ListT> auto find(ListT &L, int ObjectId) {
   return std::lower_bound(L.begin(), L.end(), ObjectId,
                           [](const std::pair<int, uint64_t> &E, int Id) {
                             return E.first < Id;
@@ -42,10 +41,7 @@ uint64_t ProfileData::getAccessCount(unsigned FunctionId, unsigned OpId,
 void ProfileData::addAccess(unsigned FunctionId, unsigned OpId, int ObjectId,
                             uint64_t N) {
   AccessList &L = AccessCounts[FunctionId][OpId];
-  auto It = std::lower_bound(L.begin(), L.end(), ObjectId,
-                             [](const std::pair<int, uint64_t> &E, int Id) {
-                               return E.first < Id;
-                             });
+  auto It = find(L, ObjectId);
   if (It != L.end() && It->first == ObjectId)
     It->second += N;
   else

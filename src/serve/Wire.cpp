@@ -2,6 +2,7 @@
 
 #include "serve/Wire.h"
 
+#include "gen/Generator.h"
 #include "partition/Pipeline.h"
 #include "support/StrUtil.h"
 
@@ -214,6 +215,16 @@ bool WireReader::str(std::string &S) {
   S.assign(Data, Pos, Len);
   Pos += Len;
   return true;
+}
+
+std::string PartitionRequest::key() const {
+  if (InlineIR)
+    return "ir:" + Spec;
+  gen::GenOptions GO;
+  if (gen::parseGenSpec(Spec, GO))
+    return formatStr("gen:%llu:%u", static_cast<unsigned long long>(GO.Seed),
+                     GO.TargetOps);
+  return Spec;
 }
 
 std::string PartitionRequest::encode() const {

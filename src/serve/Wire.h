@@ -178,8 +178,11 @@ struct PartitionRequest {
 
   /// The admission/routing key: what the coordinator hashes to pick a
   /// shard and what the warm cache keys on. Inline programs key on their
-  /// full text — identical programs share a cache entry.
-  std::string key() const { return (InlineIR ? "ir:" : "") + Spec; }
+  /// full text — identical programs share a cache entry. A well-formed
+  /// gen spec keys on its parsed seed and op count, as gen:SEED:OPS, so
+  /// every spelling of one program (leading zeros, the default op count
+  /// left out) shares one entry and one shard.
+  std::string key() const;
 };
 
 /// Stats response format selector (first payload byte of a Stats request).

@@ -6,7 +6,7 @@
 #include "machine/MachineModel.h"
 #include "partition/DataPlacement.h"
 #include "partition/Pipeline.h"
-#include "profile/ExecTrace.h"
+#include "profile/TraceSummary.h"
 #include "sched/ListScheduler.h"
 #include "support/FaultInjector.h"
 #include "support/Telemetry.h"
@@ -117,8 +117,6 @@ SimResult gdp::simulateTrace(const ProgramAnalyses &PA,
     R.Diags.push_back(support::injectedFaultDiag("sim.bus"));
     return R;
   }
-  if (!Summary.Error.empty())
-    return InputError(Summary.Error);
 
   SlotQueue Bus(MM.getMoveBandwidth());
   std::vector<SlotQueue> Ports;

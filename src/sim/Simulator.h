@@ -8,7 +8,7 @@
 /// A deterministic trace-driven cycle simulator for the clustered VLIW —
 /// the dynamic counterpart of the static accounting in
 /// sched/ListScheduler. It replays an interpreter run's block executions
-/// (profile/ExecTrace, summarized as a TraceSummary) through the
+/// (the run's TraceSummary, profile/TraceSummary.h) through the
 /// evaluation's own per-region schedules (PipelineResult::Schedule; it
 /// never schedules), modelling machine state the static model leaves out:
 ///
@@ -91,14 +91,14 @@ struct SimResult {
   std::vector<double> ClusterUtilization;
 };
 
-/// Replays \p Summary (summarizeTrace of the trace recorded by
-/// Interpreter::setTrace while profiling \p PA's program) against
+/// Replays \p Summary (built by Interpreter::setSummary's sink while
+/// profiling \p PA's program) against
 /// \p Schedule, the scheduleProgram result for \p CA on \p MM over \p PA's
 /// region DFGs, with data homes from \p Placement. Schedules nothing
 /// itself. Fails with an InputError when \p MM's move latency or store
 /// latency is 0 (the one-replay-per-variant rule needs both to be at
-/// least one cycle), when the summary does not match the program or
-/// carries a trace inconsistency, or when the schedule does not match its
+/// least one cycle), when the summary does not match the program's
+/// function or block counts, or when the schedule does not match its
 /// function, block or operation counts. Emits sim.* telemetry when a
 /// session is installed, including the work counter sim.variants.
 /// Deterministic: equal inputs give bit-identical results.

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 using namespace gdp;
 
 namespace {
@@ -101,6 +104,47 @@ TEST(InterpTest, Conversions) {
   InterpResult R = I.run();
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.ReturnValue.I, 7);
+}
+
+TEST(InterpTest, FloatToIntLaneIsDefinedOutsideTheRange) {
+  // A float result also sets the integer lane, and ftoi converts. For NaN,
+  // an infinity or a magnitude of 2^63 or more, the integer lane is
+  // INT64_MIN (a plain conversion would be undefined behaviour).
+  auto Eval = [](auto Emit) {
+    Program P("t");
+    Function *F = P.makeFunction("main", 0);
+    IRBuilder B(F);
+    B.setInsertPoint(F->makeBlock("entry"));
+    B.ret(Emit(B));
+    Interpreter I(P);
+    InterpResult R = I.run();
+    EXPECT_TRUE(R.Ok) << R.Error;
+    return R.ReturnValue;
+  };
+  const double MinAsDouble = static_cast<double>(INT64_MIN);
+  RtValue Inf = Eval([](IRBuilder &B) {
+    return B.fdiv(B.movf(1.0), B.movf(0.0));
+  });
+  EXPECT_EQ(Inf.F, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Inf.I, INT64_MIN);
+  RtValue NaN = Eval([](IRBuilder &B) {
+    return B.fdiv(B.movf(0.0), B.movf(0.0));
+  });
+  EXPECT_TRUE(std::isnan(NaN.F));
+  EXPECT_EQ(NaN.I, INT64_MIN);
+  for (double V : {1e300, -1e300, 0x1p63}) {
+    RtValue Big = Eval([V](IRBuilder &B) { return B.ftoi(B.movf(V)); });
+    EXPECT_EQ(Big.I, INT64_MIN) << V;
+    EXPECT_EQ(Big.F, MinAsDouble) << V;
+  }
+  // In range, both conversions truncate toward zero.
+  RtValue Low = Eval([](IRBuilder &B) { return B.ftoi(B.movf(-0x1p63)); });
+  EXPECT_EQ(Low.I, INT64_MIN);
+  RtValue Neg = Eval([](IRBuilder &B) { return B.ftoi(B.movf(-3.7)); });
+  EXPECT_EQ(Neg.I, -3);
+  EXPECT_EQ(Neg.F, -3.0);
+  RtValue Lane = Eval([](IRBuilder &B) { return B.movf(-3.7); });
+  EXPECT_EQ(Lane.I, -3);
 }
 
 TEST(InterpTest, SelectAndAbs) {

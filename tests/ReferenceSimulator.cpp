@@ -2,10 +2,10 @@
 
 #include "ReferenceSimulator.h"
 
+#include "ReferenceInterpreter.h"
 #include "ir/Program.h"
 #include "machine/MachineModel.h"
 #include "partition/DataPlacement.h"
-#include "profile/ExecTrace.h"
 #include "sched/ListScheduler.h"
 #include "support/StrUtil.h"
 

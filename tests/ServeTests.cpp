@@ -27,7 +27,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 
 using namespace gdp;
@@ -386,6 +388,44 @@ TEST(ServeService, FailedInlineIRIsCachedWithItsDiagnostics) {
   EXPECT_TRUE(Second.CacheHit);
   EXPECT_EQ(Svc.registry().getCounter("prepared_cache.misses"), 1u);
   EXPECT_EQ(Svc.registry().getCounter("prepared_cache.hits"), 1u);
+}
+
+TEST(ServeService, GenSpecSpellingsShareOneCacheEntry) {
+  // Leading zeros and a left-out default op count (200) spell the same
+  // generated program: five spellings of two programs load each program
+  // once, and every spelling of a program gets its answer under the
+  // canonical spec. Seeds unique to this test: the prepared-program cache
+  // is process global.
+  ServiceOptions SO;
+  SO.Deterministic = true;
+  Service Svc(SO);
+  const std::pair<const char *, const char *> Cases[] = {
+      {"gen:4247:100", "gen:4247:100"},
+      {"gen:04247:100", "gen:4247:100"},
+      {"gen:4247:0100", "gen:4247:100"},
+      {"gen:4249", "gen:4249:200"},
+      {"gen:4249:200", "gen:4249:200"}};
+  std::map<std::string, double> Cycles;
+  for (const auto &[Spec, Canonical] : Cases) {
+    PartitionRequest Req;
+    Req.Spec = Spec;
+    EXPECT_EQ(Req.key(), Canonical);
+    PartitionOutcome Out = Svc.partition(Req);
+    ASSERT_EQ(Out.S, Status::Ok) << Spec << ": " << Out.Body;
+    EXPECT_EQ(Out.CacheHit, Cycles.count(Canonical) != 0) << Spec;
+    support::json::JVal Doc;
+    std::string Err;
+    ASSERT_TRUE(support::json::parse(Out.Body, Doc, Err)) << Err;
+    EXPECT_EQ(Doc["spec"].Str, Canonical);
+    auto [It, New] = Cycles.emplace(Canonical, Doc["cycles"].Num);
+    EXPECT_EQ(Doc["cycles"].Num, It->second) << Spec;
+  }
+  EXPECT_EQ(Svc.registry().getCounter("prepared_cache.misses"), 2u);
+  EXPECT_EQ(Svc.registry().getCounter("prepared_cache.hits"), 3u);
+  // A malformed gen spec keys on its own text.
+  PartitionRequest Bad;
+  Bad.Spec = "gen:4247:x";
+  EXPECT_EQ(Bad.key(), "gen:4247:x");
 }
 
 TEST(ServeService, ControlCharactersInSpecsGiveValidJsonBodies) {
@@ -865,6 +905,33 @@ TEST(ServeCoordinator, RoutesAndMergesStatsExactly) {
   EXPECT_EQ(CL.Coord.stop(), 0);
   EXPECT_EQ(CL.Shard0.stop(), 0);
   EXPECT_EQ(CL.Shard1.stop(), 0);
+}
+
+TEST(ServeCoordinator, GenSpecSpellingsRouteToOneShard) {
+  // The coordinator routes on the request key, so every spelling of one
+  // generated program has one owning shard; the raw spellings would be
+  // spread over several.
+  CoordinatorOptions Opt;
+  Opt.HealthCheckMs = 0;
+  std::vector<support::SockAddr> Addrs(16);
+  for (size_t I = 0; I != Addrs.size(); ++I)
+    ASSERT_TRUE(support::SockAddr::parse(
+        formatStr("unix:/nonexistent/gdpd-%zu.sock", I), Addrs[I], nullptr));
+  CoordinatorBackend Route(Addrs, Opt);
+  std::set<size_t> Owners, RawOwners;
+  for (const char *Spec :
+       {"gen:7:100", "gen:007:100", "gen:7:0100", "gen:0007:00100"}) {
+    PartitionRequest Req;
+    Req.Spec = Spec;
+    Owners.insert(Route.shardFor(Req.key()));
+    RawOwners.insert(Route.shardFor(Spec));
+  }
+  EXPECT_EQ(Owners.size(), 1u);
+  EXPECT_GT(RawOwners.size(), 1u);
+  PartitionRequest Short, Full;
+  Short.Spec = "gen:7";
+  Full.Spec = "gen:7:200";
+  EXPECT_EQ(Route.shardFor(Short.key()), Route.shardFor(Full.key()));
 }
 
 TEST(ServeCoordinator, DeadShardIsUnavailableNotFatal) {

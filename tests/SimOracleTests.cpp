@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "GenTestUtil.h"
+#include "ReferenceInterpreter.h"
 #include "ReferenceSimulator.h"
 
 #include "gen/Generator.h"
@@ -21,7 +22,6 @@
 #include "machine/MachineModel.h"
 #include "partition/DataPlacement.h"
 #include "partition/Pipeline.h"
-#include "profile/ExecTrace.h"
 #include "profile/Interpreter.h"
 #include "sched/ListScheduler.h"
 #include "sim/Simulator.h"
@@ -75,8 +75,9 @@ std::string simDiff(const SimResult &Got, const SimResult &Want) {
   return "";
 }
 
-/// A program prepared with trace capture, and the raw trace of an
-/// identical build, which the reference replays.
+/// A program prepared with trace capture, and the raw trace the reference
+/// interpreter records on an identical build, which the reference
+/// simulator replays.
 struct TracedProgram {
   std::unique_ptr<Program> P;
   PreparedProgram PP;
@@ -91,7 +92,7 @@ traceProgram(const std::function<std::unique_ptr<Program>()> &Build) {
     return nullptr;
   T->PP = prepareProgram(*T->P, 200000000ULL, /*CaptureTrace=*/true);
   std::unique_ptr<Program> Twin = Build();
-  Interpreter I(*Twin);
+  ReferenceInterpreter I(*Twin);
   I.setTrace(&T->Trace);
   if (!T->PP.Ok || !I.run(200000000ULL).Ok)
     return nullptr;
@@ -232,9 +233,13 @@ std::unique_ptr<Program> makeRecursiveProgram() {
 TEST(SimOracle, RecursiveLoopEntryIsPerFunctionId) {
   std::unique_ptr<Program> P = makeRecursiveProgram();
   Interpreter Interp(*P);
-  ExecTrace Trace;
-  Interp.setTrace(&Trace);
+  TraceSummary Summary;
+  Interp.setSummary(&Summary);
   ASSERT_TRUE(Interp.run().Ok);
+  ReferenceInterpreter Ref(*P);
+  ExecTrace Trace;
+  Ref.setTrace(&Trace);
+  ASSERT_TRUE(Ref.run().Ok);
   ProgramAnalyses PA(*P);
 
   // v = 3n on cluster 1, everything else on cluster 0: the loop reads v
@@ -254,8 +259,7 @@ TEST(SimOracle, RecursiveLoopEntryIsPerFunctionId) {
         scheduleProgram(PA, Interp.getProfile(), MM, CA);
     unsigned Hoisted = Sched.Blocks[RecId][2].HoistedMoves;
     ASSERT_GT(Hoisted, 0u) << "the loop must read v across clusters";
-    SimResult Got = simulateTrace(PA, summarizeTrace(*P, Trace), MM, CA,
-                                  Sched, Placement);
+    SimResult Got = simulateTrace(PA, Summary, MM, CA, Sched, Placement);
     ReferenceSimulation Want =
         referenceSimulate(PA, Trace, MM, CA, Sched, Placement);
     ASSERT_TRUE(Got.Ok) << Got.Error;
@@ -312,9 +316,11 @@ TEST(SimOracle, ZeroLatencyMachineIsAnInputError) {
 }
 
 TEST(SimOracle, TraceErrorsMatchReference) {
-  // A trace that does not fit the program gets the reference's InputError
-  // message: an event out of range, or an access stream shorter than its
-  // block's executions.
+  // A raw trace that does not fit the program (an event out of range, or
+  // an access stream shorter than its block's executions) is refused by
+  // both of its readers with the same message: the reference summarizer
+  // and the reference replay. The interpreter's own summary cannot be
+  // malformed this way, so the simulator has no such check.
   FirCell C = firCell();
   ASSERT_NE(C.T, nullptr);
   ASSERT_TRUE(C.R.ok());
@@ -331,16 +337,18 @@ TEST(SimOracle, TraceErrorsMatchReference) {
       break;
     }
   for (const ExecTrace *Bad : {&OutOfRange, &Exhausted}) {
-    SimResult Got = simulateTrace(PA, summarizeTrace(P, *Bad), MM,
-                                  C.R.Assignment, C.R.Schedule,
-                                  C.R.Placement);
+    std::string Error;
+    summarizeTrace(P, *Bad, &Error);
     SimResult Want = referenceSimulate(PA, *Bad, MM, C.R.Assignment,
                                        C.R.Schedule, C.R.Placement)
                          .S;
-    EXPECT_FALSE(Got.Ok);
-    EXPECT_FALSE(Got.Error.empty());
-    EXPECT_EQ(Got.Error, Want.Error);
+    EXPECT_FALSE(Want.Ok);
+    EXPECT_FALSE(Error.empty());
+    EXPECT_EQ(Error, Want.Error);
   }
+  std::string Error;
+  summarizeTrace(P, C.T->Trace, &Error);
+  EXPECT_EQ(Error, "");
 }
 
 TEST(SimOracle, VariantCountIsTheSummarys) {

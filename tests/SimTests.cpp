@@ -9,8 +9,9 @@
 //    sound for these kernels);
 //  * the relative-performance strategy ordering of Figures 7/8 is
 //    reproduced when recomputed from simulated cycles;
-//  * tracing changes nothing about an interpretation (same InterpResult,
-//    same profile) and the recorded trace is consistent with the profile;
+//  * summarizing changes nothing about an interpretation (same
+//    InterpResult, same profile) and the summary is consistent with the
+//    profile;
 //  * the remote-access protocol (request transfer → home memory port →
 //    reply) fires on a synthetic program whose placement splits objects
 //    across clusters, producing remote accesses, transit stalls and
@@ -30,8 +31,8 @@
 #include "machine/MachineModel.h"
 #include "partition/DataPlacement.h"
 #include "partition/Pipeline.h"
-#include "profile/ExecTrace.h"
 #include "profile/Interpreter.h"
+#include "profile/TraceSummary.h"
 #include "sched/ListScheduler.h"
 #include "sim/Simulator.h"
 #include "support/StrUtil.h"
@@ -214,7 +215,7 @@ TEST(SimTest, ReproducesFig78StrategyOrdering) {
 // --- Trace hook: observational transparency -------------------------------
 
 TEST(SimTest, TraceHookChangesNothingObservable) {
-  // Same program interpreted with and without a trace sink: identical
+  // Same program interpreted with and without a summary sink: identical
   // InterpResult and identical profile on every function/block/operation.
   for (const char *Name : {"rawcaudio", "fir", "viterbi", "histogram"}) {
     auto P1 = buildWorkload(Name);
@@ -225,8 +226,8 @@ TEST(SimTest, TraceHookChangesNothingObservable) {
     InterpResult RPlain = Plain.run();
 
     Interpreter Traced(*P2);
-    ExecTrace Trace;
-    Traced.setTrace(&Trace);
+    TraceSummary Summary;
+    Traced.setSummary(&Summary);
     InterpResult RTraced = Traced.run();
 
     ASSERT_TRUE(RPlain.Ok) << Name << ": " << RPlain.Error;
@@ -251,16 +252,20 @@ TEST(SimTest, TraceHookChangesNothingObservable) {
             << Name << " f" << F << " op" << Op;
     }
 
-    // The trace is consistent with the profile it rode along with: one
-    // block event per counted block execution, one access event per
-    // counted dynamic access.
-    EXPECT_EQ(Trace.numBlockEvents(), TotalFreq) << Name;
-    uint64_t TotalAccesses = 0;
+    // The summary is consistent with the profile it rode along with: one
+    // counted execution per block execution, and each execution's memory
+    // operations account for every counted dynamic access.
+    EXPECT_EQ(Summary.numBlockEvents(), TotalFreq) << Name;
+    uint64_t TotalAccesses = 0, SummaryAccesses = 0;
     for (unsigned F = 0; F != P1->getNumFunctions(); ++F)
       for (unsigned Op = 0; Op != P1->getFunction(F).getNumOpIds(); ++Op)
         for (const auto &[Obj, N] : ProfPlain.getAccessMap(F, Op))
           TotalAccesses += N;
-    EXPECT_EQ(Trace.numAccessEvents(), TotalAccesses) << Name;
+    for (const auto &Fn : Summary.Blocks)
+      for (const TraceSummary::Block &B : Fn)
+        for (const TraceSummary::Variant &V : B.Variants)
+          SummaryAccesses += V.Count * B.NumMemOps;
+    EXPECT_EQ(SummaryAccesses, TotalAccesses) << Name;
   }
 }
 
@@ -293,8 +298,8 @@ TEST(SimTest, RemoteAccessPaysTransferAndStalls) {
   int A = 0, Out = 0;
   auto P = makeLoopProgram(A, Out);
   Interpreter I(*P);
-  ExecTrace Trace;
-  I.setTrace(&Trace);
+  TraceSummary Summary;
+  I.setSummary(&Summary);
   InterpResult IR = I.run();
   ASSERT_TRUE(IR.Ok) << IR.Error;
 
@@ -306,7 +311,7 @@ TEST(SimTest, RemoteAccessPaysTransferAndStalls) {
   DataPlacement Local(P->getNumObjects());
   Local.setHome(static_cast<unsigned>(A), 0);
   Local.setHome(static_cast<unsigned>(Out), 0);
-  SimResult SLocal = simulateTrace(*P, summarizeTrace(*P, Trace), MM, CA,
+  SimResult SLocal = simulateTrace(*P, Summary, MM, CA,
                                    Static, Local);
   ASSERT_TRUE(SLocal.Ok) << SLocal.Error;
   EXPECT_EQ(SLocal.RemoteAccesses, 0u);
@@ -319,7 +324,7 @@ TEST(SimTest, RemoteAccessPaysTransferAndStalls) {
   DataPlacement Split(P->getNumObjects());
   Split.setHome(static_cast<unsigned>(A), 1);
   Split.setHome(static_cast<unsigned>(Out), 0);
-  SimResult SSplit = simulateTrace(*P, summarizeTrace(*P, Trace), MM, CA,
+  SimResult SSplit = simulateTrace(*P, Summary, MM, CA,
                                    Static, Split);
   ASSERT_TRUE(SSplit.Ok) << SSplit.Error;
   EXPECT_EQ(SSplit.RemoteAccesses, 16u);
@@ -356,8 +361,8 @@ TEST(SimTest, RemoteRequestsQueueAtTheHomePort) {
   B.ret(V1);
 
   Interpreter I(*P);
-  ExecTrace Trace;
-  I.setTrace(&Trace);
+  TraceSummary Summary;
+  I.setSummary(&Summary);
   InterpResult IR = I.run();
   ASSERT_TRUE(IR.Ok) << IR.Error;
 
@@ -389,7 +394,7 @@ TEST(SimTest, RemoteRequestsQueueAtTheHomePort) {
   PL.setHome(static_cast<unsigned>(A), 2);
   PL.setHome(static_cast<unsigned>(Out), 1);
   SimResult S =
-      simulateTrace(*P, summarizeTrace(*P, Trace), MM, CA,
+      simulateTrace(*P, Summary, MM, CA,
                     scheduleProgram(*P, I.getProfile(), MM, CA), PL);
   ASSERT_TRUE(S.Ok) << S.Error;
   EXPECT_EQ(S.RemoteAccesses, 2u); // The loads; the store is home-local.
@@ -407,8 +412,8 @@ TEST(SimTest, MismatchedTraceIsRejected) {
   MachineModel MM = MachineModel::makeDefault(2, 5);
   ClusterAssignment CA(*P);
   DataPlacement PL(P->getNumObjects());
-  ExecTrace Empty; // Never recorded against P.
-  SimResult S = simulateTrace(*P, summarizeTrace(*P, Empty), MM, CA,
+  TraceSummary Empty; // Never built against P.
+  SimResult S = simulateTrace(*P, Empty, MM, CA,
                               scheduleProgram(*P, I.getProfile(), MM, CA), PL);
   EXPECT_FALSE(S.Ok);
   EXPECT_FALSE(S.Error.empty());
@@ -421,14 +426,13 @@ TEST(SimTest, MismatchedScheduleIsRejected) {
   int A = 0, Out = 0;
   auto P = makeLoopProgram(A, Out);
   Interpreter I(*P);
-  ExecTrace Trace;
-  I.setTrace(&Trace);
+  TraceSummary Summary;
+  I.setSummary(&Summary);
   ASSERT_TRUE(I.run().Ok);
   MachineModel MM = MachineModel::makeDefault(2, 5);
   ClusterAssignment CA(*P);
   DataPlacement PL(P->getNumObjects());
   ProgramSchedule Good = scheduleProgram(*P, I.getProfile(), MM, CA);
-  TraceSummary Summary = summarizeTrace(*P, Trace);
   ASSERT_TRUE(simulateTrace(*P, Summary, MM, CA, Good, PL).Ok);
 
   ProgramSchedule NoBlock = Good;

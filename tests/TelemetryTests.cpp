@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "partition/Pipeline.h"
-#include "profile/ExecTrace.h"
+#include "profile/TraceSummary.h"
 #include "profile/Interpreter.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
@@ -398,16 +398,16 @@ TEST(Telemetry, MergeReparentsShardSpansAndTagsTask) {
 }
 
 TEST(Telemetry, DisabledTraceHookAllocatesNothing) {
-  // The interpreter's optional trace sink (profile/ExecTrace.h) must cost
-  // nothing when left unset. The baseline (no sink) is exactly the
+  // The interpreter's optional summary sink (profile/TraceSummary.h) must
+  // cost nothing when left unset. The baseline (no sink) is exactly the
   // disabled path, so its allocation count must be identical across
-  // repeated runs — any hidden trace bookkeeping would show up here — and
-  // strictly below a traced run, which really records events.
-  auto CountRun = [](ExecTrace *Trace) {
+  // repeated runs — any hidden summary bookkeeping would show up here —
+  // and strictly below a summarized run, which really records variants.
+  auto CountRun = [](TraceSummary *Summary) {
     auto P = buildWorkload("fir");
     EXPECT_TRUE(P);
     Interpreter I(*P);
-    I.setTrace(Trace);
+    I.setSummary(Summary);
     uint64_t Before = GAllocCount.load();
     InterpResult R = I.run();
     uint64_t After = GAllocCount.load();
@@ -417,11 +417,12 @@ TEST(Telemetry, DisabledTraceHookAllocatesNothing) {
   uint64_t First = CountRun(nullptr);
   uint64_t Second = CountRun(nullptr);
   EXPECT_EQ(First, Second)
-      << "the untraced interpreter must allocate deterministically";
-  ExecTrace Trace;
-  uint64_t Traced = CountRun(&Trace);
-  EXPECT_GT(Trace.numBlockEvents(), 0u);
-  EXPECT_GT(Traced, First) << "tracing must be the only path that records";
+      << "the unsummarized interpreter must allocate deterministically";
+  TraceSummary Summary;
+  uint64_t Summarized = CountRun(&Summary);
+  EXPECT_GT(Summary.numBlockEvents(), 0u);
+  EXPECT_GT(Summarized, First)
+      << "summarizing must be the only path that records";
 }
 
 // --- Validation of the bench harness's --json output. The ctest fixture

@@ -28,7 +28,7 @@
 #include "partition/Pipeline.h"
 #include "partition/PreparedCache.h"
 #include "partition/ProgramGraph.h"
-#include "profile/ExecTrace.h"
+#include "profile/TraceSummary.h"
 #include "sched/ListScheduler.h"
 #include "sched/SchedulePrinter.h"
 #include "serve/Client.h"
